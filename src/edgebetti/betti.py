@@ -113,6 +113,8 @@ def _faces_within(w: int, nonface: bytearray) -> list[list[int]]:
         if s == 0:
             break
         s = (s - 1) & w
+    while not faces[-1]:
+        faces.pop()  # the empty levels above the largest face
     for level in faces:
         level.reverse()  # submask loop runs descending
     return faces
@@ -198,16 +200,25 @@ def betti_table_koszul(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
 # -- graph-level invariants ---------------------------------------------------
 
 
+def graph_betti_table(g: Graph, field: str = "q") -> BettiTable:
+    """Betti table of S/in(J) for the binomial edge ideal J of g."""
+    if g.edge_count == 0:
+        raise EdgelessGraphError("edgeless graph: the ideal is zero")
+    return betti_table_hochster(initial_ideal(g), field)
+
+
+def pd_reg_of_table(table: BettiTable) -> PdRegPair:
+    """(proj dim, regularity) of J from the Betti table of S/in(J)."""
+    return PdRegPair(table.quotient_pd - 1, table.quotient_reg + 1)
+
+
 @lru_cache(maxsize=200000)
 def _pd_reg_rows(n: int, rows: tuple[int, ...], field: str) -> PdRegPair:
-    table = betti_table_hochster(initial_ideal(Graph(n, rows)), field)
-    return PdRegPair(table.quotient_pd - 1, table.quotient_reg + 1)
+    return pd_reg_of_table(graph_betti_table(Graph(n, rows), field))
 
 
 def pd_reg(g: Graph, field: str = "q") -> PdRegPair:
     """(proj dim, regularity) of the binomial edge ideal of g."""
-    if g.edge_count == 0:
-        raise EdgelessGraphError("edgeless graph: the ideal is zero")
     return _pd_reg_rows(g.n, g.rows, field)
 
 

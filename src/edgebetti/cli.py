@@ -22,7 +22,7 @@ from .atlas import (
     probe_conjecture,
     verify_main_theorem,
 )
-from .betti import EdgelessGraphError, betti_table_hochster, pd_reg
+from .betti import EdgelessGraphError, graph_betti_table, pd_reg_of_table
 from .checks import (
     check_characterizations,
     check_cone_formula,
@@ -33,7 +33,6 @@ from .checks import (
 from .families import RealizeError, realize
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, from_edges, is_complete
-from .ideals import initial_ideal
 from .linalg import parse_field
 from .reports import make_report, report_json
 
@@ -89,7 +88,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 f"isolated vertices {g.isolated_vertices()}: inputs follow the "
                 "non-isolated vertex convention"
             )
-        pair = pd_reg(g, args.field)
+        table = graph_betti_table(g, args.field)
+        pair = pd_reg_of_table(table)
     except (ValueError, Graph6Error) as exc:
         doc = make_report("compute", {"argv_error": str(exc)}, {"error": str(exc)})
         _emit(doc, args, [f"error: {exc}"])
@@ -103,7 +103,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         "depth_of_quotient": 2 * g.n - pair.pd - 1,
     }
     if args.betti:
-        table = betti_table_hochster(initial_ideal(g), args.field)
         results["betti"] = table.triples()
     doc = make_report(
         "compute",

@@ -6,6 +6,24 @@ rank d_{d+2} in that indexing, where d_c is the boundary map from
 cardinality c to c-1.  Including the empty face makes the augmentation map
 just another boundary matrix.
 
+GF(2) ranks are reduced from the top cardinality down, with clearing
+(Chen-Kerber, "Persistent homology computation with a twist", 2011;
+Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Reducing the
+boundaries of the c-faces by lowest set bit leaves rows z_1, ..., z_r that
+are boundaries, hence cycles of d_{c-1}, with distinct lowest bits: the
+pivot (c-1)-faces p_1, ..., p_r.  Ordered by pivot, the z_k restricted to
+the pivot faces form a triangular matrix with nonzero diagonal, so solving
+d_{c-1}(z_k) = 0 for the pivot terms writes each boundary d_{c-1}(p_k) as a
+combination of boundaries of non-pivot faces.  The pivot faces add nothing
+to the column space of d_{c-1}: their rows are never built or reduced, and
+the rank of d_{c-1} is the rank over the remaining faces.  The argument
+uses only d o d = 0 and the invertibility of that triangular block, so it
+holds over any field.  It is applied to GF(2) only, where ``rank_gf2``
+hands back the pivots it computes anyway; the signed Q and GF(p) routes
+build full matrices.  Clearing changes which rows are reduced, never a
+rank, so every GF(2) rank, and the Q filter and pinned escalation below
+that read them, are those of the full boundary matrices.
+
 Over the rationals the ranks come from fraction-free integer elimination.
 A GF(2) pass is also used as a certified vanishing filter: ranks can only
 drop modulo a prime, so every reduced homology dimension over GF(2) bounds
@@ -25,19 +43,33 @@ def _sign_position(face: int, v_bit: int) -> int:
 
 
 def _gf2_boundary_ranks(faces: list[list[int]]) -> list[int]:
-    """ranks[c] = rank of the boundary map from cardinality c, over GF(2)."""
+    """ranks[c] = rank of the boundary map from cardinality c, over GF(2).
+
+    Reduces from the top cardinality down with clearing (see the module
+    docstring): a row is the boundary of one c-face, packed over the
+    positions of the (c-1)-faces, and the faces whose position is a pivot
+    of the map above get no row.
+    """
     top = len(faces) - 1
     ranks = [0] * (top + 2)
-    for c in range(1, top + 1):
+    cleared: set[int] = set()
+    for c in range(top, 0, -1):
         idx = {f: i for i, f in enumerate(faces[c - 1])}
-        rows = [0] * len(faces[c - 1])
-        for col, f in enumerate(faces[c]):
+        rows = []
+        for f in faces[c]:
+            if f in cleared:
+                continue
+            row = 0
             t = f
             while t:
                 low = t & -t
-                rows[idx[f ^ low]] |= 1 << col
+                row |= 1 << idx[f ^ low]
                 t ^= low
-        ranks[c] = rank_gf2(rows)
+            rows.append(row)
+        pivots: dict[int, int] = {}
+        ranks[c] = rank_gf2(rows, pivots)
+        lower = faces[c - 1]
+        cleared = {lower[low.bit_length() - 1] for low in pivots}
     return ranks
 
 

@@ -96,9 +96,17 @@ def rank_rational(mat: Sequence[Sequence[int]]) -> int:
     return rank + _bareiss_rank(dense)
 
 
-def rank_gf2(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of rows packed as int bitmasks."""
-    pivots: dict[int, int] = {}
+def rank_gf2(rows: Sequence[int], pivots: dict[int, int] | None = None) -> int:
+    """Rank over GF(2) of rows packed as int bitmasks.
+
+    Each row is reduced by the earlier pivot rows until its lowest set bit
+    is new; it is then kept as the pivot for that bit.  The rank is the
+    number of pivots.  A caller that passes an empty dict as ``pivots``
+    gets them back, keyed by lowest bit: the keys are distinct columns, and
+    each value is a combination of the input rows.
+    """
+    if pivots is None:
+        pivots = {}
     for row in rows:
         r = row
         while r:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from edgebetti import betti
 from edgebetti.cli import main
 from edgebetti.graph6 import graph6_encode
 from edgebetti.graphs import path
@@ -38,6 +39,25 @@ class TestCompute:
         triples = doc["results"]["betti"]
         assert triples == sorted(triples)
         assert triples[0] == [0, 0, 1]
+
+    def test_betti_runs_hochster_once(self, capsys, monkeypatch):
+        calls = []
+        hochster = betti.betti_table_hochster
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hochster(*args, **kwargs)
+
+        monkeypatch.setattr(betti, "betti_table_hochster", counted)
+        g6 = graph6_encode(path(5))
+        code, doc = run(capsys, ["compute", "--graph6", g6, "--betti"])
+        assert code == 0
+        assert len(calls) == 1
+        assert (doc["results"]["pd"], doc["results"]["reg"]) == (3, 5)
+        code, plain = run(capsys, ["compute", "--graph6", g6])
+        assert len(calls) == 2
+        del doc["results"]["betti"]
+        assert strip_timing(plain)["results"] == strip_timing(doc)["results"]
 
     def test_edgeless_is_a_structured_error(self, capsys):
         code, doc = run(capsys, ["compute", "--graph6", "C?"])

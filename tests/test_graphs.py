@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,21 @@ class TestDisjointUnionAndJoin:
         assert g.is_connected()
         assert not g.has_isolated_vertex()
         assert g.edge_count == g1.edge_count + g2.edge_count + g1.n * g2.n
+
+    def test_join_seeded_random_pairs(self):
+        rng = random.Random(20230206)
+
+        def random_graph():
+            n = rng.randint(1, 7)
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            return from_edges(n, [e for e in pairs if rng.random() < 0.3])
+
+        for _ in range(200):
+            g1, g2 = random_graph(), random_graph()
+            g = join(g1, g2)
+            assert g.n == g1.n + g2.n
+            assert g.is_connected()
+            assert not g.has_isolated_vertex()
 
 
 class TestSubgraphs:

@@ -3,8 +3,14 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgebetti.homology import homology_from_faces, reduced_homology_ranks
-from edgebetti.ideals import SimplicialComplex
+from edgebetti.betti import _faces_within, _union_closure
+from edgebetti.homology import (
+    _gf2_boundary_ranks,
+    homology_from_faces,
+    reduced_homology_ranks,
+)
+from edgebetti.ideals import SimplicialComplex, mark_supersets
+from edgebetti.linalg import rank_gf2
 
 # Minimal 6-vertex triangulation of the real projective plane: 2-torsion in
 # H_1, so the rational and GF(2) answers genuinely differ.
@@ -92,3 +98,66 @@ def test_euler_characteristic_is_field_free(cx):
         h = homology_from_faces(faces, field_tag)
         # positions are dimension + 1, so this alternating sum equals euler
         assert sum((-1) ** pos * v for pos, v in enumerate(h)) == euler
+
+
+def full_boundary_rows(faces, c):
+    """Every column of the boundary map from cardinality c, none cleared."""
+    idx = {f: i for i, f in enumerate(faces[c - 1])}
+    rows = [0] * len(faces[c - 1])
+    for col, f in enumerate(faces[c]):
+        for v in range(f.bit_length()):
+            if f >> v & 1:
+                rows[idx[f & ~(1 << v)]] |= 1 << col
+    return rows
+
+
+def assert_cleared_ranks_exact(faces):
+    ranks = _gf2_boundary_ranks(faces)
+    assert len(ranks) == len(faces) + 1
+    assert ranks[0] == ranks[-1] == 0
+    for c in range(1, len(faces)):
+        assert ranks[c] == rank_gf2(full_boundary_rows(faces, c))
+
+
+@st.composite
+def complexes_up_to_seven(draw):
+    ground = draw(st.integers(1, 7))
+    facets = draw(
+        st.lists(st.integers(1, (1 << ground) - 1), min_size=1, max_size=8)
+    )
+    return SimplicialComplex(ground, tuple(facets))
+
+
+@given(complexes_up_to_seven())
+@settings(max_examples=150, deadline=None)
+def test_cleared_gf2_ranks_match_full_matrices(cx):
+    assert_cleared_ranks_exact(cx.faces_by_card())
+
+
+def test_cleared_gf2_ranks_on_named_complexes():
+    sphere = [tuple(f) for f in itertools.combinations(range(1, 5), 3)]
+    for ground, facets in ((6, RP2_FACETS), (4, sphere)):
+        faces = cx_from_vertex_facets(ground, facets).faces_by_card()
+        assert_cleared_ranks_exact(faces)
+    # a full 6-simplex: clearing spans every level down to the vertices
+    simplex = cx_from_vertex_facets(7, [tuple(range(1, 8))])
+    assert_cleared_ranks_exact(simplex.faces_by_card())
+
+
+@st.composite
+def generators_up_to_seven(draw):
+    k = draw(st.integers(1, 7))
+    return k, draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=6))
+
+
+@given(generators_up_to_seven())
+@settings(max_examples=80, deadline=None)
+def test_faces_within_has_no_empty_top_level(ideal):
+    k, gens = ideal
+    nonface = mark_supersets(gens, k)
+    for w in _union_closure(gens):
+        faces = _faces_within(w, nonface)
+        assert faces[0] == [0] and faces[-1]
+        want = [m for m in range(1 << k) if m & ~w == 0 and not nonface[m]]
+        assert sorted(f for level in faces for f in level) == want
+        assert all(f.bit_count() == c for c, level in enumerate(faces) for f in level)
