@@ -12,15 +12,20 @@ length (``run_seconds``) and which way is better come from the change's
 BENCHMARK.json.  A run that exits nonzero or prints no result for a workload
 stops the script with that run's stderr.
 
-Give both checkouts the same bytecode state (both with or both without
-``__pycache__``): a side that finds cached bytecode starts faster and peaks
-lower in memory, which shows in setup_s and peak_rss_mb.
+Both sides measure uncached code: before the first run the script deletes
+every ``__pycache__`` under each checkout's ``src/`` and ``perfbench/``, and
+it runs ``run.py`` with ``PYTHONDONTWRITEBYTECODE=1``, which ``run.py``
+passes on to every repetition.  A side that found cached bytecode would
+start faster and peak lower in memory, which shows in setup_s and
+peak_rss_mb.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -29,6 +34,13 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # Ten pairs is the fewest from which a 9-of-10 win rate can be read.
 PAIRS = 10
+UNCACHED = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def clear_bytecode(checkout: Path) -> None:
+    for top in ("src", "perfbench"):
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def run_benchmark(
@@ -38,7 +50,7 @@ def run_benchmark(
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--seed", "1", "--seconds", str(seconds),
          "--workload", workloads[0] if len(workloads) == 1 else "all", "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
+        cwd=checkout, env=UNCACHED, capture_output=True, text=True,
     )
     results, env = {}, None
     for line in proc.stdout.splitlines():
@@ -71,6 +83,8 @@ def main() -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    for side in SIDES:
+        clear_bytecode(getattr(args, side))
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(PAIRS):

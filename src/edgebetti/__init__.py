@@ -1,10 +1,10 @@
 """Betti-table sizes of binomial edge ideals, computed combinatorially.
 
 The public surface: graph construction and operations (graphs), the lex
-initial ideal and its Stanley-Reisner complex (ideals), exact Betti tables
-via Hochster's formula with a Koszul-complex oracle (betti, homology),
-witness families and the realizer (families), theorem checkers (checks),
-exhaustive atlases (atlas), and graph6 / report / CLI plumbing.
+initial ideal (ideals), exact Betti tables via Hochster's formula with a
+Koszul-complex oracle (betti, homology, linalg), witness families and the
+realizer (families), theorem checkers (checks), exhaustive atlases
+(atlas), and graph6 / report / CLI plumbing.
 """
 
 from .betti import (
@@ -24,7 +24,7 @@ from .families import (
 )
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import Graph, canonical_form, from_edges
-from .ideals import MonomialIdeal, SimplicialComplex, initial_ideal, stanley_reisner
+from .ideals import MonomialIdeal, initial_ideal
 
 __all__ = [
     "BettiTable",
@@ -35,7 +35,6 @@ __all__ = [
     "PdRegPair",
     "RealizeCert",
     "RealizeError",
-    "SimplicialComplex",
     "betti_table_hochster",
     "betti_table_koszul",
     "canonical_form",
@@ -47,5 +46,4 @@ __all__ = [
     "pd_reg",
     "pdreg_closed_form",
     "realize",
-    "stanley_reisner",
 ]

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .betti import pd_reg
-from .checks import CheckReport, _report
+from .checks import CheckReport
 from .families import connected_pdreg_closed_form, pdreg_closed_form
 from .graph6 import graph6_encode
 from .graphs import Graph, canon_key, canonical_form, connected_components
@@ -124,7 +124,6 @@ def atlas_records(
     n: int,
     field_tag: str = "q",
     jobs: int = 1,
-    progress: bool = False,
     dedup: bool = True,
 ) -> tuple[AtlasRecord, ...]:
     """One record per isomorphism class (or per labelled graph), in order."""
@@ -139,11 +138,7 @@ def atlas_records(
                 _record_worker, [(g.n, g.rows, field_tag) for g in graphs], chunksize=4
             )
     else:
-        pairs = []
-        for i, g in enumerate(graphs):
-            pairs.append(pd_reg(g, field_tag))
-            if progress and (i + 1) % 50 == 0:
-                print(f"  ... {i + 1}/{len(graphs)} classes done", flush=True)
+        pairs = [pd_reg(g, field_tag) for g in graphs]
     return tuple(
         AtlasRecord(g, p, r, g.is_connected(), len(connected_components(g)))
         for g, (p, r) in zip(graphs, pairs)
@@ -164,13 +159,12 @@ def compute_atlas(
     n: int,
     field_tag: str = "q",
     jobs: int = 1,
-    progress: bool = False,
     records: Optional[tuple[AtlasRecord, ...]] = None,
     dedup: bool = True,
 ) -> Atlas:
     """Empirical size set, its connected variant, and the reg = n-1 slice."""
     if records is None:
-        records = atlas_records(n, field_tag, jobs, progress, dedup)
+        records = atlas_records(n, field_tag, jobs, dedup)
     all_side = _collect(n, records)
     conn_side = _collect(n, [rec for rec in records if rec.connected])
     slice_pairs = frozenset(pr for pr in all_side.pairs if pr[1] == n - 1)
@@ -200,7 +194,7 @@ def verify_main_theorem(
                 "extra_connected": sorted(got_conn - want_conn),
             }
         )
-    return _report(
+    return CheckReport.from_failures(
         "main_theorem",
         f"all isomorphism classes at n={n}",
         failures,
@@ -232,7 +226,7 @@ def probe_conjecture(
                 {"graph6": graph6_encode(rec.graph), "pd": rec.pd, "reg": rec.reg}
             )
     max_pd = max((rec.pd for rec in slice_records), default=None)
-    return _report(
+    return CheckReport.from_failures(
         "reg_top_conjecture",
         f"classes with reg={n - 1} at n={n}",
         failures,

@@ -71,6 +71,10 @@ class BettiTable:
             return NotImplemented
         return self.num_vars == other.num_vars and self.entries == other.entries
 
+    def __hash__(self) -> int:
+        """Hash of what ``__eq__`` compares, so the field tag is left out."""
+        return hash((self.num_vars, frozenset(self.entries.items())))
+
 
 def _compress(gens: tuple[int, ...]) -> tuple[list[int], int]:
     """Drop unused slots: slots in no generator are cone points everywhere."""
@@ -227,36 +231,3 @@ def depth_of_quotient(g: Graph, field: str = "q") -> int:
     p, _ = pd_reg(g, field)
     return 2 * g.n - (p + 1)
 
-
-# -- independent Hilbert-series sanity -----------------------------------------
-
-
-def kpolynomial_numerator(ideal: MonomialIdeal) -> dict[int, int]:
-    """Numerator of the Hilbert series of S/I by inclusion-exclusion.
-
-    Coefficient of t^d is sum over generator subsets with union of size d of
-    (-1)^(subset size).  Exponential in the number of generators; used as an
-    independent check on small inputs only.
-    """
-    gens = ideal.generators
-    if len(gens) > 20:
-        raise ValueError("inclusion-exclusion limited to 20 generators")
-    coeffs: dict[int, int] = {}
-    for sub in range(1 << len(gens)):
-        u = 0
-        t = sub
-        while t:
-            low = t & -t
-            u |= gens[low.bit_length() - 1]
-            t ^= low
-        d = u.bit_count()
-        coeffs[d] = coeffs.get(d, 0) + (-1 if sub.bit_count() & 1 else 1)
-    return {d: c for d, c in coeffs.items() if c}
-
-
-def table_alternating_sum(table: BettiTable) -> dict[int, int]:
-    """sum_i (-1)^i beta_{i,j} per degree j; equals the K-polynomial."""
-    coeffs: dict[int, int] = {}
-    for (i, j), b in table.entries.items():
-        coeffs[j] = coeffs.get(j, 0) + (-b if i & 1 else b)
-    return {d: c for d, c in coeffs.items() if c}

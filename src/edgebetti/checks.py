@@ -20,7 +20,6 @@ from .families import (
 from .graph6 import graph6_encode
 from .graphs import (
     Graph,
-    classify_vertex,
     decompose_gluing,
     delete_vertex,
     disjoint_union,
@@ -28,6 +27,7 @@ from .graphs import (
     is_clique,
     is_complete,
     is_path_graph,
+    is_simplicial,
     join,
     neighborhood_completion,
     vertex_connectivity,
@@ -57,15 +57,13 @@ class CheckReport:
             doc["counterexample"] = self.counterexample
         return doc
 
-
-def _report(name: str, population: str, failures: list[dict], details: dict) -> CheckReport:
-    return CheckReport(
-        name,
-        population,
-        not failures,
-        failures[0] if failures else None,
-        details,
-    )
+    @classmethod
+    def from_failures(
+        cls, name: str, population: str, failures: list[dict], details: dict
+    ) -> CheckReport:
+        """Passed iff ``failures`` is empty; the first failure is the counterexample."""
+        first = failures[0] if failures else None
+        return cls(name, population, not failures, first, details)
 
 
 def check_global_bounds(g: Graph, field_tag: str = "q") -> CheckReport:
@@ -108,7 +106,7 @@ def check_global_bounds(g: Graph, field_tag: str = "q") -> CheckReport:
             }
         ]
     )
-    return _report("global_bounds", f"graph n={n}", failures, details)
+    return CheckReport.from_failures("global_bounds", f"graph n={n}", failures, details)
 
 
 # -- composition formulas -------------------------------------------------------
@@ -140,7 +138,7 @@ def check_disjoint_union_formulas(
             }
         ]
     )
-    return _report(
+    return CheckReport.from_failures(
         "disjoint_union_formulas",
         f"{c} parts, n={whole.n}",
         failures,
@@ -164,7 +162,7 @@ def check_join_regularity(g1: Graph, g2: Graph, field_tag: str = "q") -> CheckRe
         if r == want
         else [{"graph6": graph6_encode(whole), "got": r, "expected": want}]
     )
-    return _report(
+    return CheckReport.from_failures(
         "join_regularity", f"n={whole.n}", failures, {"terms": sorted(terms)}
     )
 
@@ -201,7 +199,7 @@ def check_cone_formula(base: Graph, field_tag: str = "q") -> CheckReport:
             }
         ]
     )
-    return _report(
+    return CheckReport.from_failures(
         "cone_formula",
         f"base n={base.n} {'connected' if base.is_connected() else 'disconnected'}",
         failures,
@@ -231,27 +229,12 @@ def check_gluing_formulas(g: Graph, field_tag: str = "q") -> CheckReport:
             }
         ]
     )
-    return _report(
+    return CheckReport.from_failures(
         "gluing_formulas",
         f"n={g.n} split at {split.vertex}",
         failures,
         {"left": [lp, lr], "right": [rp, rr], "vertex": split.vertex},
     )
-
-
-def check_composition_formulas(kind: str, *args, field_tag: str = "q") -> CheckReport:
-    """Dispatcher over the four composition checks, by kind."""
-    table = {
-        "disjoint_union": check_disjoint_union_formulas,
-        "join": check_join_regularity,
-        "cone": check_cone_formula,
-        "gluing": check_gluing_formulas,
-    }
-    try:
-        fn = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown composition kind {kind!r}") from None
-    return fn(*args, field_tag=field_tag)
 
 
 # -- structural characterizations -----------------------------------------------
@@ -287,7 +270,7 @@ def check_characterizations(g: Graph, field_tag: str = "q") -> CheckReport:
             }
         ]
     )
-    return _report(
+    return CheckReport.from_failures(
         "characterizations",
         f"graph n={n}",
         failures,
@@ -300,7 +283,7 @@ def check_internal_vertex_bound(g: Graph, v: int, field_tag: str = "q") -> Check
 
     Terms whose graph has no edge drop out (their ideal is zero).
     """
-    if classify_vertex(g, v) != "internal":
+    if is_simplicial(g, v):
         raise ValueError(f"vertex {v} is simplicial; the bound needs an internal vertex")
     _, r = pd_reg(g, field_tag)
     terms = []
@@ -317,7 +300,7 @@ def check_internal_vertex_bound(g: Graph, v: int, field_tag: str = "q") -> Check
         if r <= bound
         else [{"graph6": graph6_encode(g), "vertex": v, "reg": r, "bound": bound}]
     )
-    return _report(
+    return CheckReport.from_failures(
         "internal_vertex_reg_bound",
         f"n={g.n} v={v}",
         failures,
@@ -339,7 +322,7 @@ def check_clique_bound(g: Graph, w: Sequence[int], field_tag: str = "q") -> Chec
         if r <= bound
         else [{"graph6": graph6_encode(g), "clique": vs, "reg": r, "bound": bound}]
     )
-    return _report(
+    return CheckReport.from_failures(
         "clique_reg_bound", f"n={g.n} |W|={len(vs)}", failures, {"reg": r, "bound": bound}
     )
 
@@ -364,6 +347,6 @@ def check_monotonicity(g: Graph, w: Sequence[int], field_tag: str = "q") -> Chec
             }
         ]
     )
-    return _report(
+    return CheckReport.from_failures(
         "monotonicity", f"n={g.n} |W|={len(set(w))}", failures, {"sub": [sp, sr]}
     )

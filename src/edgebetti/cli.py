@@ -334,17 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="empirical size set over all classes at n")
     p.add_argument("--n", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--dedup",
-        action="store_true",
-        default=True,
-        help="one representative per isomorphism class (default)",
-    )
-    mode.add_argument(
+    p.add_argument(
         "--labeled",
         action="store_true",
-        help="iterate every labelled graph instead (n <= 5)",
+        help="every labelled graph, not one per isomorphism class (n <= 5)",
     )
     p.add_argument("--slow-ok", action="store_true")
     common(p)

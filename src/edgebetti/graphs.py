@@ -140,15 +140,6 @@ def cycle(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
-def build_standard(kind: str, n: int) -> Graph:
-    """Dispatch constructor for the stock families used everywhere."""
-    builders = {"complete": complete, "path": path, "isolated": isolated}
-    try:
-        return builders[kind](n)
-    except KeyError:
-        raise ValueError(f"unknown standard graph kind {kind!r}") from None
-
-
 # -- composition ----------------------------------------------------------
 
 
@@ -275,10 +266,6 @@ def is_simplicial(g: Graph, v: int) -> bool:
         raise ValueError(f"no vertex {v}")
     nbrs = list(_bits(g.rows[v - 1]))
     return all(g.rows[a] >> b & 1 for a, b in itertools.combinations(nbrs, 2))
-
-
-def classify_vertex(g: Graph, v: int) -> str:
-    return "simplicial" if is_simplicial(g, v) else "internal"
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -6,6 +6,9 @@ rank d_{d+2} in that indexing, where d_c is the boundary map from
 cardinality c to c-1.  Including the empty face makes the augmentation map
 just another boundary matrix.
 
+Faces come from one enumerator, ``betti._faces_within``, and every signed
+rank, over Q or GF(p), from the one sparse eliminator in ``linalg``.
+
 GF(2) ranks are reduced from the top cardinality down, with clearing
 (Chen-Kerber, "Persistent homology computation with a twist", 2011;
 Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Reducing the
@@ -24,16 +27,15 @@ build full matrices.  Clearing changes which rows are reduced, never a
 rank, so every GF(2) rank, and the Q filter and pinned escalation below
 that read them, are those of the full boundary matrices.
 
-Over the rationals the ranks come from fraction-free integer elimination.
-A GF(2) pass is also used as a certified vanishing filter: ranks can only
-drop modulo a prime, so every reduced homology dimension over GF(2) bounds
-the one over Q from above, and a complex that is GF(2)-acyclic is
-Q-acyclic.  The filter never contributes a value, only a skip.
+Over Q a GF(2) pass is also used as a certified vanishing filter: ranks
+can only drop modulo a prime, so every reduced homology dimension over
+GF(2) bounds the one over Q from above, and a complex that is
+GF(2)-acyclic is Q-acyclic.  The filter never contributes a value, only a
+skip.
 """
 
 from __future__ import annotations
 
-from .ideals import SimplicialComplex
 from .linalg import parse_field, rank_gf2, rank_mod_p, rank_rational
 
 
@@ -87,12 +89,11 @@ def _signed_boundary_matrix(faces: list[list[int]], c: int) -> list[list[int]]:
 
 
 def _signed_boundary_ranks(faces: list[list[int]], p: int) -> list[int]:
-    """Boundary ranks with signs, over Q (p == 0) or GF(p)."""
+    """Boundary ranks with signs over GF(p), p an odd prime."""
     top = len(faces) - 1
     ranks = [0] * (top + 2)
     for c in range(1, top + 1):
-        mat = _signed_boundary_matrix(faces, c)
-        ranks[c] = rank_rational(mat) if p == 0 else rank_mod_p(mat, p)
+        ranks[c] = rank_mod_p(_signed_boundary_matrix(faces, c), p)
     return ranks
 
 
@@ -125,11 +126,8 @@ def homology_from_faces(faces: list[list[int]], field: str = "q") -> list[int]:
     """Reduced homology dims indexed by dimension -1, 0, ..., top-1.
 
     ``faces[c]`` lists the cardinality-c faces; ``faces[0]`` must be ``[0]``
-    (the empty face) unless the complex is void, in which case pass ``[]``
-    and get ``[]`` back.
+    (the empty face).
     """
-    if not faces:
-        return []
     kind, p = parse_field(field)
     if kind == "fp" and p == 2:
         return _ranks_to_homology(faces, _gf2_boundary_ranks(faces))
@@ -141,7 +139,3 @@ def homology_from_faces(faces: list[list[int]], field: str = "q") -> list[int]:
         return filtered
     return _ranks_to_homology(faces, _rational_ranks_pinned(faces, gf2_ranks))
 
-
-def reduced_homology_ranks(cx: SimplicialComplex, field: str = "q") -> list[int]:
-    """Reduced homology of a facet-presented complex, dims -1..dim(cx)."""
-    return homology_from_faces(cx.faces_by_card(), field)

@@ -25,7 +25,7 @@ from .graphs import Graph, _bits
 MAX_ACTIVE_SLOTS = 20
 
 
-def x_slot(i: int, n: int) -> int:
+def x_slot(i: int) -> int:
     return i - 1
 
 
@@ -88,11 +88,6 @@ class MonomialIdeal:
 # -- generators from graphs --------------------------------------------------
 
 
-def edge_generators(g: Graph) -> list[tuple[int, int]]:
-    """The (i, j) with i < j indexing the degree-2 binomial generators."""
-    return g.edges()
-
-
 def _exterior_interval_paths(g: Graph, i: int, j: int) -> Iterator[tuple[int, ...]]:
     """Paths i -> j with distinct vertices, interiors all < i or > j.
 
@@ -125,80 +120,14 @@ def initial_ideal(g: Graph) -> MonomialIdeal:
     for i in g.vertices:
         for j in range(i + 1, n + 1):
             for interior in _exterior_interval_paths(g, i, j):
-                m = (1 << x_slot(i, n)) | (1 << y_slot(j, n))
+                m = (1 << x_slot(i)) | (1 << y_slot(j, n))
                 for k in interior:
-                    m |= 1 << (x_slot(k, n) if k > j else y_slot(k, n))
+                    m |= 1 << (x_slot(k) if k > j else y_slot(k, n))
                 masks.append(m)
     return MonomialIdeal(2 * n, tuple(masks))
 
 
-def interior_path_ideal(g: Graph, u: int, v: int) -> MonomialIdeal:
-    """Monomials from interior vertices of u-v paths, all x/y splits.
-
-    A path u, u_1, ..., u_s, v with s >= 1 contributes the s+1 monomials
-    y_{u_1}..y_{u_t} x_{u_{t+1}}..x_{u_s} for t = 0..s.  The trivial path
-    (s = 0) is excluded: it would contribute the unit monomial.
-    """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    n = g.n
-    masks = []
-    stack: list[int] = []
-
-    def walk(w: int, visited: int) -> None:
-        if g.has_edge(w, v) and stack:
-            for t in range(len(stack) + 1):
-                m = 0
-                for k in stack[:t]:
-                    m |= 1 << y_slot(k, n)
-                for k in stack[t:]:
-                    m |= 1 << x_slot(k, n)
-                masks.append(m)
-        for b in _bits(g.neighbors_mask(w) & ~visited):
-            if b + 1 == v:
-                continue
-            stack.append(b + 1)
-            walk(b + 1, visited | (1 << b))
-            stack.pop()
-
-    walk(u, (1 << (u - 1)) | (1 << (v - 1)))
-    return MonomialIdeal(2 * n, tuple(masks))
-
-
-# -- Stanley-Reisner complex -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet antichain on ground slots 0..ground_size-1.
-
-    ``facets == ()`` with ``is_void == False`` is the complex {emptyset};
-    ``is_void == True`` is the complex with no faces at all.
-    """
-
-    ground_size: int
-    facets: tuple[int, ...]
-    is_void: bool = False
-
-    def faces_by_card(self) -> list[list[int]]:
-        """All faces grouped by cardinality (downward closure of facets)."""
-        if self.is_void:
-            return []
-        seen = {0}
-        for f in self.facets:
-            sub = f
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        top = max(s.bit_count() for s in seen)
-        out: list[list[int]] = [[] for _ in range(top + 1)]
-        for s in seen:
-            out[s.bit_count()].append(s)
-        for level in out:
-            level.sort()
-        return out
+# -- Stanley-Reisner nonfaces -----------------------------------------------
 
 
 def mark_supersets(gens: Iterable[int], nslots: int) -> bytearray:
@@ -217,21 +146,3 @@ def mark_supersets(gens: Iterable[int], nslots: int) -> bytearray:
             s = (s - 1) & free
     return table
 
-
-def stanley_reisner(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose faces are the masks containing no generator."""
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    k = ideal.num_vars
-    if ideal.is_zero:
-        return SimplicialComplex(k, ((1 << k) - 1,) if k else ())
-    nonface = mark_supersets(ideal.generators, k)
-    facets = []
-    for mask in range(1 << k):
-        if nonface[mask]:
-            continue
-        if all(nonface[mask | (1 << b)] for b in range(k) if not mask >> b & 1):
-            facets.append(mask)
-    if facets == [0]:
-        facets = []
-    return SimplicialComplex(k, tuple(facets))

@@ -1,99 +1,88 @@
 """Exact matrix ranks over the rationals, GF(2) and GF(p).
 
-The rational rank uses fraction-free (Bareiss) elimination on integer rows,
-so every intermediate value is an exact integer.  GF(2) works on rows packed
-into Python ints.  These are the only linear-algebra kernels in the package;
-both Betti-number routes build their own matrices but share these ranks.
+One sparse eliminator, ``_rank``, serves every signed matrix: over GF(p)
+for a prime p, and over Q when p = 0.  Both Betti routes reach it through
+``rank_rational`` and ``rank_mod_p``, which take dense integer rows.  GF(2)
+has its own kernel, ``rank_gf2``, on rows packed into Python ints.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination; exact divisions."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        piv_row = rows[rank]
-        pv = piv_row[col]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            vi = ri[col]
-            for j in range(col + 1, ncols):
-                ri[j] = (pv * ri[j] - vi * piv_row[j]) // prev
-            ri[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), or over Q when p == 0, of sparse rows {column: value}.
 
-
-def rank_rational(mat: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over Q.
-
-    Sparse elimination on +-1 pivots first: such row operations are integer
-    and need no fraction-free bookkeeping, and boundary-style matrices almost
-    always keep offering unit pivots.  Whatever core survives without a unit
-    entry is densified and finished by Bareiss.
+    Each step pivots on the sparsest row holding a unit entry: any nonzero
+    entry over GF(p), +-1 over Q, so row operations stay integral.  Over Q
+    a core with no +-1 entry left is finished without fractions: row r
+    becomes a*r - m*pivot, for the pivot entry a and r's entry m in the
+    pivot column, and a != 0 keeps the span.  The row is then divided by
+    the gcd of its entries; a row reduced against pivots in k columns is,
+    up to a scalar, its vector of (k+1)-minors (Cramer), so the primitive
+    row is bounded by those minors and entries cannot blow up.
     """
-    rows: list[dict[int, int]] = []
-    for r in mat:
-        d = {j: v for j, v in enumerate(r) if v}
-        if d:
-            rows.append(d)
+    if p:
+        rows = [{j: v % p for j, v in r.items() if v % p} for r in rows]
+    rows = [r for r in rows if r]
     rank = 0
     while rows:
-        best = None  # (nnz, index) of a row holding a unit entry
-        for idx, r in enumerate(rows):
-            if any(v == 1 or v == -1 for v in r.values()):
-                key = (len(r), idx)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        idx = best[1]
-        piv = rows.pop(idx)
-        col = next(j for j, v in piv.items() if v == 1 or v == -1)
+        best, col = -1, None
+        for i, r in enumerate(rows):
+            if best < 0 or len(r) < len(rows[best]):
+                for j, v in r.items():
+                    if p or v == 1 or v == -1:
+                        best, col = i, j
+                        break
+        if col is None:  # over Q, no +-1 entry left
+            best = min(range(len(rows)), key=lambda i: len(rows[i]))
+            col = next(iter(rows[best]))
+        piv = rows.pop(best)
         a = piv[col]
+        scale = not p and a != 1 and a != -1
+        inv = pow(a, -1, p) if p else a  # a == +-1 is its own inverse
         remaining = []
         for r in rows:
             m = r.get(col)
             if m is not None:
-                m *= a
+                if scale:
+                    for j in r:
+                        r[j] *= a
+                else:
+                    m *= inv
                 for j, v in piv.items():
                     nv = r.get(j, 0) - m * v
+                    if p:
+                        nv %= p
                     if nv:
                         r[j] = nv
                     elif j in r:
                         del r[j]
+                if scale and r:
+                    g = gcd(*r.values())
+                    for j in r:
+                        r[j] //= g
             if r:
                 remaining.append(r)
         rows = remaining
         rank += 1
-    if not rows:
-        return rank
-    cols = sorted({j for r in rows for j in r})
-    pos = {j: i for i, j in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in rows]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            dense[i][pos[j]] = v
-    return rank + _bareiss_rank(dense)
+    return rank
+
+
+def _sparse(mat: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    return [{j: v for j, v in enumerate(r) if v} for r in mat]
+
+
+def rank_rational(mat: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix over Q."""
+    return _rank(_sparse(mat), 0)
+
+
+def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix over GF(p), p prime."""
+    return _rank(_sparse(mat), p)
 
 
 def rank_gf2(rows: Sequence[int], pivots: dict[int, int] | None = None) -> int:
@@ -117,39 +106,6 @@ def rank_gf2(rows: Sequence[int], pivots: dict[int, int] | None = None) -> int:
                 pivots[low] = r
                 break
     return len(pivots)
-
-
-def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) by straightforward modular elimination."""
-    rows = [[x % p for x in r] for r in mat]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    nrows = len(rows)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        piv_row = [x * inv % p for x in rows[rank]]
-        rows[rank] = piv_row
-        for i in range(rank + 1, nrows):
-            vi = rows[i][col]
-            if vi:
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = (ri[j] - vi * piv_row[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def parse_field(field: str) -> tuple[str, int]:

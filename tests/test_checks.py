@@ -5,7 +5,6 @@ from edgebetti.checks import (
     CheckReport,
     check_characterizations,
     check_clique_bound,
-    check_composition_formulas,
     check_cone_formula,
     check_disjoint_union_formulas,
     check_global_bounds,
@@ -31,6 +30,12 @@ class TestCheckReport:
     def test_failure_needs_counterexample(self):
         with pytest.raises(ValueError):
             CheckReport("x", "pop", False, None)
+
+    def test_from_failures(self):
+        assert CheckReport.from_failures("x", "pop", [], {}).passed
+        rep = CheckReport.from_failures("x", "pop", [{"a": 1}, {"b": 2}], {"k": 1})
+        assert not rep.passed and rep.counterexample == {"a": 1}
+        assert rep.details == {"k": 1}
 
     def test_roundtrip(self):
         rep = CheckReport("x", "pop", True, None, {"k": 1})
@@ -89,10 +94,13 @@ class TestCompositionFormulas:
         with pytest.raises(ValueError):
             check_gluing_formulas(complete(4))
 
-    def test_dispatcher(self):
-        assert check_composition_formulas("join", path(3), isolated(2)).passed
-        with pytest.raises(ValueError):
-            check_composition_formulas("tensor", path(3))
+    def test_composition_checks_over_f2(self):
+        triangles = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+        parts = [path(3), complete(2)]
+        assert check_disjoint_union_formulas(parts, field_tag="f2").passed
+        assert check_join_regularity(path(3), isolated(2), field_tag="f2").passed
+        assert check_cone_formula(path(3), field_tag="f2").passed
+        assert check_gluing_formulas(triangles, field_tag="f2").passed
 
 
 class TestCharacterizations:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from edgebetti.graphs import (
     Graph,
-    build_standard,
     canon_key,
     canonical_form,
-    classify_vertex,
     complete,
     connected_components,
     cycle,
@@ -23,6 +21,7 @@ from edgebetti.graphs import (
     induced_subgraph,
     is_clique,
     is_complete,
+    is_simplicial,
     isolated,
     join,
     neighborhood_completion,
@@ -46,17 +45,17 @@ def small_graphs(draw, min_n=1, max_n=6):
 
 class TestConstruction:
     def test_standard_builders(self):
-        assert edge_set(build_standard("complete", 3)) == {(1, 2), (1, 3), (2, 3)}
-        assert edge_set(build_standard("path", 2)) == {(1, 2)}
-        g = build_standard("isolated", 4)
+        assert edge_set(complete(3)) == {(1, 2), (1, 3), (2, 3)}
+        assert edge_set(path(2)) == {(1, 2)}
+        g = isolated(4)
         assert g.n == 4 and g.edge_count == 0
 
     def test_standard_rejects_zero(self):
-        for kind in ("complete", "path", "isolated"):
+        for build in (complete, path, isolated):
             with pytest.raises(ValueError):
-                build_standard(kind, 0)
+                build(0)
         with pytest.raises(ValueError):
-            build_standard("wheel", 3)
+            cycle(2)
 
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -156,16 +155,16 @@ class TestSubgraphs:
 
 class TestVertexClassification:
     def test_examples(self):
-        assert classify_vertex(path(3), 2) == "internal"
-        assert classify_vertex(path(3), 1) == "simplicial"
-        assert all(classify_vertex(complete(5), v) == "simplicial" for v in range(1, 6))
+        assert not is_simplicial(path(3), 2)
+        assert is_simplicial(path(3), 1)
+        assert all(is_simplicial(complete(5), v) for v in range(1, 6))
 
     def test_matches_induced_completeness(self):
         for g in (cycle(5), path(4), complete(4)):
             for v in g.vertices:
                 nbrs = g.neighbors(v)
                 expected = len(nbrs) < 2 or is_complete(induced_subgraph(g, nbrs))
-                assert (classify_vertex(g, v) == "simplicial") == expected
+                assert is_simplicial(g, v) == expected
 
 
 class TestComponentsAndConnectivity:

@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 
 import pytest
 
-from edgebetti.graphs import complete, from_edges, isolated, path
+from edgebetti.betti import _faces_within, betti_table_hochster
+from edgebetti.graphs import _bits, complete, from_edges, isolated, path
 from edgebetti.ideals import (
     MonomialIdeal,
-    SimplicialComplex,
-    edge_generators,
     initial_ideal,
-    interior_path_ideal,
+    mark_supersets,
     minimalize,
     monomial_str,
-    stanley_reisner,
     x_slot,
     y_slot,
 )
@@ -23,10 +21,44 @@ from edgebetti.ideals import (
 def mask(n, xs=(), ys=()):
     m = 0
     for i in xs:
-        m |= 1 << x_slot(i, n)
+        m |= 1 << x_slot(i)
     for i in ys:
         m |= 1 << y_slot(i, n)
     return m
+
+
+def interior_path_ideal(g, u, v):
+    """Monomials from interior vertices of u-v paths, all x/y splits.
+
+    A path u, u_1, ..., u_s, v with s >= 1 contributes the s+1 monomials
+    y_{u_1}..y_{u_t} x_{u_{t+1}}..x_{u_s} for t = 0..s.  The trivial path
+    (s = 0) is excluded: it would contribute the unit monomial.
+    """
+    if u == v:
+        raise ValueError("endpoints must differ")
+    n = g.n
+    masks = []
+    stack = []
+
+    def walk(w, visited):
+        if g.has_edge(w, v) and stack:
+            for t in range(len(stack) + 1):
+                masks.append(mask(n, xs=stack[t:], ys=stack[:t]))
+        for b in _bits(g.neighbors_mask(w) & ~visited):
+            if b + 1 == v:
+                continue
+            stack.append(b + 1)
+            walk(b + 1, visited | (1 << b))
+            stack.pop()
+
+    walk(u, (1 << (u - 1)) | (1 << (v - 1)))
+    return MonomialIdeal(2 * n, tuple(masks))
+
+
+def sr_faces(ideal):
+    """Faces of the Stanley-Reisner complex by cardinality, via _faces_within."""
+    k = ideal.num_vars
+    return _faces_within((1 << k) - 1, mark_supersets(ideal.generators, k))
 
 
 class TestMonomialIdeal:
@@ -51,9 +83,9 @@ class TestMonomialIdeal:
 
 class TestEdgeGenerators:
     def test_examples(self):
-        assert edge_generators(path(3)) == [(1, 2), (2, 3)]
-        assert edge_generators(complete(3)) == [(1, 2), (1, 3), (2, 3)]
-        assert edge_generators(isolated(2)) == []
+        assert path(3).edges() == [(1, 2), (2, 3)]
+        assert complete(3).edges() == [(1, 2), (1, 3), (2, 3)]
+        assert isolated(2).edges() == []
 
 
 class TestInitialIdeal:
@@ -120,24 +152,23 @@ class TestInteriorPathIdeal:
 
 class TestStanleyReisner:
     def test_principal(self):
-        cx = stanley_reisner(MonomialIdeal(4, (0b1001,)))  # x1*y2 in 4 slots
-        assert set(cx.facets) == {0b0111, 0b1110}
+        faces = sr_faces(MonomialIdeal(4, (0b1001,)))  # x1*y2 in 4 slots
+        assert [len(level) for level in faces] == [1, 4, 5, 2]
+        assert faces[-1] == [0b0111, 0b1110]
 
     def test_zero_ideal_is_full_simplex(self):
-        cx = stanley_reisner(MonomialIdeal(3, ()))
-        assert cx.facets == (0b111,)
+        faces = sr_faces(MonomialIdeal(3, ()))
+        assert faces[-1] == [0b111]
 
     def test_two_variables_killed(self):
-        cx = stanley_reisner(MonomialIdeal(2, (0b01, 0b10)))
-        assert cx.facets == () and not cx.is_void
+        assert sr_faces(MonomialIdeal(2, (0b01, 0b10))) == [[0]]
 
     def test_unit_rejected(self):
+        # the unit ideal contains the empty face too: there is no complex
+        assert all(mark_supersets([0], 2))
         with pytest.raises(ValueError):
-            stanley_reisner(MonomialIdeal(2, (0,)))
+            betti_table_hochster(MonomialIdeal(2, (0,)))
 
     def test_faces_by_card(self):
-        cx = SimplicialComplex(3, (0b011, 0b101, 0b110))  # hollow triangle
-        faces = cx.faces_by_card()
-        assert faces[0] == [0]
-        assert len(faces[1]) == 3 and len(faces[2]) == 3
-        assert SimplicialComplex(3, (), is_void=True).faces_by_card() == []
+        faces = sr_faces(MonomialIdeal(3, (0b111,)))  # hollow triangle
+        assert faces == [[0], [0b001, 0b010, 0b100], [0b011, 0b101, 0b110]]
