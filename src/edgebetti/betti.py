@@ -208,6 +208,14 @@ def graph_betti_table(g: Graph, field: str = "q") -> BettiTable:
     """Betti table of S/in(J) for the binomial edge ideal J of g."""
     if g.edge_count == 0:
         raise EdgelessGraphError("edgeless graph: the ideal is zero")
+    # Every edge monomial x_i y_j (i < j) is a minimal generator, so the slots
+    # they use bound the active slots from below before any path is searched.
+    k = sum(
+        (row >> v != 0) + (row & ((1 << (v - 1)) - 1) != 0)
+        for v, row in enumerate(g.rows, start=1)
+    )
+    if k > MAX_ACTIVE_SLOTS:
+        raise ValueError(f"at least {k} active slots exceed the exhaustive budget")
     return betti_table_hochster(initial_ideal(g), field)
 
 

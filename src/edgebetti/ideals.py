@@ -5,18 +5,35 @@ as 2n bit slots: slot k (0-based, k < n) is x_{k+1} and slot n+k is y_{k+1}.
 A squarefree monomial is the bitmask of its support.
 
 With the lexicographic order x_1 > ... > x_n > y_1 > ... > y_n the leading
-term of the edge binomial x_i y_j - x_j y_i (i < j) is x_i y_j, and the
-leading terms of the full Groebner basis are indexed by paths between i and
-j whose interior vertices all lie outside the interval [i, j]: the interior
-vertices above j contribute their x, the ones below i their y.  That
-combinatorial description is what ``initial_ideal`` enumerates; it is
-exercised against a hand-run Buchberger computation in the tests.
+term of the edge binomial x_i y_j - x_j y_i (i < j) is x_i y_j.  The reduced
+Groebner basis is indexed by *admissible* paths (Herzog, Hibi, Hreinsdottir,
+Kahle, Rauf, "Binomial edge ideals and conditional independence statements",
+2010, Thm 2.1): paths i = v_0, v_1, ..., v_r = j with i < j, every interior
+vertex outside the interval [i, j], and no chord.  The path contributes the
+minimal generator x_i y_j times x_v for each interior v > j and y_v for
+each interior v < i.
+
+``initial_ideal`` lists exactly these paths with a depth-first search from
+i that keeps the path induced as it grows, by two rules:
+
+* step from u to v only when v lies outside [i, j], is not yet on the path,
+  and is adjacent to no path vertex other than u;
+* when u is adjacent to j, emit the path and do not extend past u, since
+  any longer path from u would have the chord u-j.
+
+Chordless is the same as minimal here: a chord gives an i-j path on a
+proper subset of the interior (a divisor), and an induced path is the only
+i-j path in its own induced subgraph.  The search therefore emits an
+antichain without duplicates, and ``MonomialIdeal``'s minimalisation is only
+a check.  The tests compare the result with the leading terms of
+``sympy.groebner(..., order='lex')`` and with a brute-force enumeration of
+all exterior-interval paths followed by minimalisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import Graph, _bits
 
@@ -88,29 +105,32 @@ class MonomialIdeal:
 # -- generators from graphs --------------------------------------------------
 
 
-def _exterior_interval_paths(g: Graph, i: int, j: int) -> Iterator[tuple[int, ...]]:
-    """Paths i -> j with distinct vertices, interiors all < i or > j.
+def _admissible_masks(g: Graph, i: int, j: int) -> list[int]:
+    """Generator masks of the admissible paths from i to j (i < j).
 
-    Yields the interior vertex sequences (possibly empty when {i,j} is an
-    edge).
+    ``close`` is the union of the closed neighbourhoods of the path vertices
+    before the current end u: a candidate v in it would close a chord.
     """
-    allowed = 0
+    n = g.n
+    outside = 0
     for v in g.vertices:
         if v < i or v > j:
-            allowed |= 1 << (v - 1)
+            outside |= 1 << (v - 1)
+    jbit = 1 << (j - 1)
+    masks: list[int] = []
 
-    stack: list[int] = []
-
-    def walk(u: int, visited: int) -> Iterator[tuple[int, ...]]:
+    def walk(u: int, close: int, m: int) -> None:
         row = g.neighbors_mask(u)
-        if row >> (j - 1) & 1:
-            yield tuple(stack)
-        for b in _bits(row & allowed & ~visited):
-            stack.append(b + 1)
-            yield from walk(b + 1, visited | (1 << b))
-            stack.pop()
+        if row & jbit:
+            masks.append(m)
+            return
+        close_u = close | row | (1 << (u - 1))
+        for b in _bits(row & outside & ~close):
+            v = b + 1
+            walk(v, close_u, m | 1 << (x_slot(v) if v > j else y_slot(v, n)))
 
-    yield from walk(i, 1 << (i - 1))
+    walk(i, 0, (1 << x_slot(i)) | (1 << y_slot(j, n)))
+    return masks
 
 
 def initial_ideal(g: Graph) -> MonomialIdeal:
@@ -119,11 +139,7 @@ def initial_ideal(g: Graph) -> MonomialIdeal:
     masks = []
     for i in g.vertices:
         for j in range(i + 1, n + 1):
-            for interior in _exterior_interval_paths(g, i, j):
-                m = (1 << x_slot(i)) | (1 << y_slot(j, n))
-                for k in interior:
-                    m |= 1 << (x_slot(k) if k > j else y_slot(k, n))
-                masks.append(m)
+            masks.extend(_admissible_masks(g, i, j))
     return MonomialIdeal(2 * n, tuple(masks))
 
 

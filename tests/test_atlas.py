@@ -1,3 +1,4 @@
+import networkx
 import pytest
 
 from edgebetti.atlas import (
@@ -9,7 +10,16 @@ from edgebetti.atlas import (
     verify_main_theorem,
 )
 from edgebetti.betti import pd_reg
-from edgebetti.graphs import canonical_form, connected_components
+from edgebetti.graphs import canon_key, canonical_form, connected_components, from_edges
+
+
+def atlas_keys(n):
+    """Canonical keys of networkx's graph atlas on n vertices, an independent list."""
+    return {
+        canon_key(canonical_form(from_edges(n, [(u + 1, v + 1) for u, v in h.edges()])))
+        for h in networkx.graph_atlas_g()
+        if h.number_of_nodes() == n
+    }
 
 
 class TestEnumeration:
@@ -25,6 +35,15 @@ class TestEnumeration:
             23,
             122,
         ]
+
+    def test_classes_match_networkx_atlas(self):
+        for n in range(1, 7):
+            reps = _class_reps(n)
+            assert {canon_key(canonical_form(g)) for g in reps} == atlas_keys(n)
+
+    @pytest.mark.slow
+    def test_classes_match_networkx_atlas_at_seven(self):
+        assert {canon_key(canonical_form(g)) for g in _class_reps(7)} == atlas_keys(7)
 
     def test_connected_filter(self):
         conn = list(enumerate_graphs(4, dedup=True, connected_only=True))

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgebetti import betti
 from edgebetti.atlas import enumerate_graphs
 from edgebetti.betti import (
     EdgelessGraphError,
     betti_table_hochster,
     betti_table_koszul,
     depth_of_quotient,
+    graph_betti_table,
     pd_reg,
 )
 from edgebetti.graphs import (
@@ -63,6 +65,18 @@ class TestPdReg:
     def test_edgeless_rejected(self):
         with pytest.raises(EdgelessGraphError):
             pd_reg(isolated(3))
+
+    def test_edge_slots_over_budget_refused_before_paths(self, monkeypatch):
+        calls = []
+
+        def failing(g):
+            calls.append(g)
+            raise AssertionError("initial_ideal must not run over budget")
+
+        monkeypatch.setattr(betti, "initial_ideal", failing)
+        with pytest.raises(ValueError, match="at least 22 active slots"):
+            graph_betti_table(complete(12))
+        assert calls == []
 
     def test_isolated_vertices_are_free(self):
         # extra isolated vertices only add free variables

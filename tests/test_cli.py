@@ -6,7 +6,7 @@ import pytest
 from edgebetti import betti
 from edgebetti.cli import main
 from edgebetti.graph6 import graph6_encode
-from edgebetti.graphs import path
+from edgebetti.graphs import complete, path
 from edgebetti.reports import strip_timing
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,6 +63,12 @@ class TestCompute:
         code, doc = run(capsys, ["compute", "--graph6", "C?"])
         assert code == 2
         assert "error" in doc["results"]
+
+    def test_over_budget_exits_2(self, capsys):
+        edges = ",".join(f"{i}-{j}" for i, j in complete(12).edges())
+        code, doc = run(capsys, ["compute", "--edges", edges])
+        assert code == 2
+        assert "active slots exceed the exhaustive budget" in doc["results"]["error"]
 
     def test_isolated_vertex_rejected(self, capsys):
         code, doc = run(capsys, ["compute", "--edges", "1-2", "--n", "3"])

@@ -1,14 +1,18 @@
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
+import sympy
 
+from edgebetti.atlas import enumerate_graphs
 from edgebetti.betti import _faces_within, betti_table_hochster
-from edgebetti.graphs import _bits, complete, from_edges, isolated, path
+from edgebetti.graphs import _bits, complete, from_edges, isolated, path, relabel
 from edgebetti.ideals import (
     MonomialIdeal,
+    _admissible_masks,
     initial_ideal,
     mark_supersets,
     minimalize,
@@ -53,6 +57,53 @@ def interior_path_ideal(g, u, v):
 
     walk(u, (1 << (u - 1)) | (1 << (v - 1)))
     return MonomialIdeal(2 * n, tuple(masks))
+
+
+def exterior_interval_ideal(g):
+    """Brute-force initial ideal: every exterior-interval path, then minimalize.
+
+    For each i < j, every i-j path with distinct vertices whose interior lies
+    outside [i, j], chords included, gives x_i y_j times x_v for interior
+    v > j and y_v for interior v < i; the divisibility-minimal masks are the
+    generators.
+    """
+    n = g.n
+    masks = []
+
+    def walk(u, visited, m, j, allowed):
+        row = g.neighbors_mask(u)
+        if row >> (j - 1) & 1:
+            masks.append(m)
+        for b in _bits(row & allowed & ~visited):
+            v = b + 1
+            slot = x_slot(v) if v > j else y_slot(v, n)
+            walk(v, visited | 1 << b, m | 1 << slot, j, allowed)
+
+    for i in g.vertices:
+        for j in range(i + 1, n + 1):
+            allowed = sum(1 << (v - 1) for v in g.vertices if v < i or v > j)
+            walk(i, 1 << (i - 1), mask(n, [i], [j]), j, allowed)
+    return MonomialIdeal(2 * n, minimalize(masks))
+
+
+def groebner_ideal(g):
+    """Leading monomials of sympy's reduced lex Groebner basis, as slot masks."""
+    n = g.n
+    xs = sympy.symbols(f"x1:{n + 1}")
+    ys = sympy.symbols(f"y1:{n + 1}")
+    binomials = [xs[i - 1] * ys[j - 1] - xs[j - 1] * ys[i - 1] for i, j in g.edges()]
+    basis = sympy.groebner(binomials, *xs, *ys, order="lex")
+    masks = []
+    for poly in basis.polys:
+        exps = poly.monoms(order="lex")[0]
+        assert max(exps) == 1, "the initial ideal is squarefree"
+        masks.append(sum(1 << slot for slot, e in enumerate(exps) if e))
+    return tuple(sorted(masks))
+
+
+def raw_masks(g):
+    return [m for i in g.vertices for j in range(i + 1, g.n + 1)
+            for m in _admissible_masks(g, i, j)]
 
 
 def sr_faces(ideal):
@@ -106,9 +157,10 @@ class TestInitialIdeal:
         }
 
     def test_complete_graph_is_quadratic(self):
-        n = 5
-        expect = {mask(n, [i], [j]) for i in range(1, 6) for j in range(i + 1, 6)}
-        assert set(initial_ideal(complete(n)).generators) == expect
+        for n in (5, 11):
+            expect = [mask(n, [i], [j]) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            assert sorted(raw_masks(complete(n))) == sorted(expect)
+            assert initial_ideal(complete(n)).generators == tuple(sorted(expect))
 
     def test_edgeless_gives_zero_ideal(self):
         assert initial_ideal(isolated(3)).is_zero
@@ -123,6 +175,39 @@ class TestInitialIdeal:
             m for m in initial_ideal(g).generators if m.bit_count() == 2
         }
         assert quadratics == {mask(n, [i], [j]) for i, j in g.edges()}
+
+
+class TestInitialIdealOracles:
+    def test_groebner_every_class_up_to_six(self):
+        for n in range(2, 7):
+            for g in enumerate_graphs(n, dedup=True):
+                assert initial_ideal(g).generators == groebner_ideal(g), g
+
+    def test_groebner_relabelled_classes_at_six(self):
+        rng = random.Random(2010)
+        for g in enumerate_graphs(6, dedup=True):
+            perm = list(g.vertices)
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert initial_ideal(h).generators == groebner_ideal(h), h
+
+    @pytest.mark.slow
+    def test_groebner_every_class_at_seven(self):
+        for g in enumerate_graphs(7, dedup=True):
+            assert initial_ideal(g).generators == groebner_ideal(g), g
+
+    @given(st.integers(2, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_admissible_paths_match_brute_force(self, n, data):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        bits = data.draw(st.integers(0, 2 ** len(pairs) - 1))
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        g = relabel(from_edges(n, [e for t, e in enumerate(pairs) if bits >> t & 1]),
+                    list(perm))
+        raw = raw_masks(g)
+        assert len(raw) == len(set(raw))
+        assert minimalize(raw) == tuple(sorted(raw)), "admissible paths form an antichain"
+        assert initial_ideal(g) == exterior_interval_ideal(g)
 
 
 class TestInteriorPathIdeal:
