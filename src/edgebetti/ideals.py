@@ -37,8 +37,10 @@ from typing import Iterable
 
 from .graphs import Graph, _bits
 
-# Exhaustive subset machinery below allocates 2**k tables; 20 active slots
-# (a graph on 10 vertices) is far beyond every desk-scale use in this repo.
+# Exhaustive subset machinery below allocates 2**k tables; this budget bounds
+# their size (2**20 bytes for the nonface table), not the run time.  With the
+# per-call subideal memo in Hochster's formula, K_11 (exactly 20 slots) takes
+# about a minute on one core and C_10 about three.
 MAX_ACTIVE_SLOTS = 20
 
 

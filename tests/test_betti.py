@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgebetti import betti
@@ -25,7 +25,8 @@ from edgebetti.graphs import (
     path,
     relabel,
 )
-from edgebetti.ideals import MonomialIdeal, initial_ideal
+from edgebetti.homology import homology_from_faces
+from edgebetti.ideals import MonomialIdeal, initial_ideal, mark_supersets
 
 
 class TestHochsterGoldens:
@@ -77,6 +78,10 @@ class TestPdReg:
         with pytest.raises(ValueError, match="at least 22 active slots"):
             graph_betti_table(complete(12))
         assert calls == []
+
+    @pytest.mark.slow
+    def test_complete_eleven(self):
+        assert pd_reg(complete(11)) == (9, 2)
 
     def test_isolated_vertices_are_free(self):
         # extra isolated vertices only add free variables
@@ -202,3 +207,82 @@ class TestHilbertSeriesIdentity:
             ideal = random_squarefree_ideal(rng)
             table = betti_table_hochster(ideal)
             assert table_alternating_sum(table) == kpolynomial_numerator(ideal)
+
+
+def hochster_without_memo(ideal, field_tag):
+    """Hochster's formula with one homology computation per W, no memo."""
+    gens, k = betti._compress(ideal.generators)
+    nonface = mark_supersets(gens, k)
+    entries = {}
+    for w in betti._union_closure(gens):
+        hvec = homology_from_faces(betti._faces_within(w, nonface), field_tag)
+        j = w.bit_count()
+        for d, h in enumerate(hvec, start=-1):
+            if h:
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + h
+    return entries
+
+
+def squeezed_tuple(w, gens):
+    """|w| and the generators inside w renumbered onto w's slots in order."""
+    slots = [b for b in range(w.bit_length()) if w >> b & 1]
+    inside = tuple(
+        sum(1 << slots.index(b) for b in range(g.bit_length()) if g >> b & 1)
+        for g in gens
+        if g & ~w == 0
+    )
+    return len(slots), inside
+
+
+@st.composite
+def memo_ideals(draw):
+    """Random squarefree ideals, half of them disjoint copies of one pattern."""
+    slots = draw(st.integers(2, 4))
+    pattern = draw(
+        st.lists(st.integers(1, (1 << slots) - 1), min_size=1, max_size=3)
+    )
+    if draw(st.booleans()):
+        copies = draw(st.integers(2, 3))
+        gens = [g << (slots * c) for c in range(copies) for g in pattern]
+        return MonomialIdeal(slots * copies, tuple(gens))
+    more = draw(st.lists(st.integers(1, 255), min_size=0, max_size=4))
+    return MonomialIdeal(8, tuple(pattern + more))
+
+
+class TestSubidealMemo:
+    @given(memo_ideals(), st.sampled_from(["q", "f2", "fp:3"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_plain_loop(self, ideal, field_tag):
+        table = betti_table_hochster(ideal, field_tag)
+        assert table.entries == hochster_without_memo(ideal, field_tag)
+
+    @given(memo_ideals(), memo_ideals())
+    @settings(max_examples=60, deadline=None)
+    # Same bits after the sentinel: 3 generators on 4 slots, 2 on 6.
+    @example(
+        MonomialIdeal(4, (0b0101, 0b0110, 0b1010)),
+        MonomialIdeal(6, (0b010101, 0b101010)),
+    )
+    def test_key_equal_iff_squeezed_tuples_equal(self, first, second):
+        by_key, by_tuple = {}, {}
+        for ideal in (first, second):
+            gens, _ = betti._compress(ideal.generators)
+            for w in betti._union_closure(gens):
+                key = betti._subideal_key(w, gens)
+                squeezed = squeezed_tuple(w, gens)
+                assert by_key.setdefault(key, squeezed) == squeezed
+                assert by_tuple.setdefault(squeezed, key) == key
+
+    @pytest.mark.parametrize(
+        "graph, calls, pair", [(complete(9), 1597, (7, 2)), (path(10), 10, (8, 10))]
+    )
+    def test_one_homology_call_per_key(self, monkeypatch, graph, calls, pair):
+        counted = []
+
+        def counting(faces, field_tag):
+            counted.append(1)
+            return homology_from_faces(faces, field_tag)
+
+        monkeypatch.setattr(betti, "homology_from_faces", counting)
+        assert betti.pd_reg_of_table(graph_betti_table(graph)) == pair
+        assert len(counted) == calls
