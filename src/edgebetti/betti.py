@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import Graph
-from .homology import _sign_position, homology_from_faces
+from .homology import homology_from_faces
 from .ideals import MAX_ACTIVE_SLOTS, MonomialIdeal, initial_ideal, mark_supersets
 from .linalg import parse_field, rank_mod_p, rank_rational
 
@@ -205,17 +205,20 @@ def betti_table_koszul(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
             if not basis[c] or not basis[c - 1]:
                 continue
             idx = {f: i for i, f in enumerate(basis[c - 1])}
-            mat = [[0] * len(basis[c]) for _ in basis[c - 1]]
-            for col, f in enumerate(basis[c]):
+            rows = []
+            for f in basis[c]:
+                row = {}
+                sign = 1  # (-1)^k for the k-th slot of f, lowest first
                 t = f
                 while t:
                     low = t & -t
                     f2 = f ^ low
                     if not in_ideal[a ^ f2]:
-                        sign = -1 if _sign_position(f, low) & 1 else 1
-                        mat[idx[f2]][col] = sign
+                        row[idx[f2]] = sign
+                    sign = -sign
                     t ^= low
-            ranks[c] = rank_rational(mat) if kind == "q" else rank_mod_p(mat, p)
+                rows.append(row)
+            ranks[c] = rank_rational(rows) if kind == "q" else rank_mod_p(rows, p)
         for c in range(na + 1):
             dim_tor = len(basis[c]) - ranks[c] - ranks[c + 1]
             if dim_tor:

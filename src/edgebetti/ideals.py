@@ -52,19 +52,6 @@ def y_slot(i: int, n: int) -> int:
     return n + i - 1
 
 
-def monomial_str(mask: int, n: int | None = None) -> str:
-    """Readable form of a monomial mask, e.g. "x1*y2" for slots over 2n."""
-    if not mask:
-        return "1"
-    names = []
-    for b in _bits(mask):
-        if n is not None:
-            names.append(f"x{b + 1}" if b < n else f"y{b - n + 1}")
-        else:
-            names.append(f"z{b + 1}")
-    return "*".join(names)
-
-
 def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Antichain of minimal elements under divisibility (bitmask subset)."""
     items = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -99,9 +86,6 @@ class MonomialIdeal:
 
     def contains_monomial(self, mask: int) -> bool:
         return any(g & ~mask == 0 for g in self.generators)
-
-    def pretty(self, n: int | None = None) -> str:
-        return "(" + ", ".join(monomial_str(g, n) for g in self.generators) + ")"
 
 
 # -- generators from graphs --------------------------------------------------

@@ -1,9 +1,20 @@
 """Exact matrix ranks over the rationals, GF(2) and GF(p).
 
-One sparse eliminator, ``_rank``, serves every signed matrix: over GF(p)
-for a prime p, and over Q when p = 0.  Both Betti routes reach it through
-``rank_rational`` and ``rank_mod_p``, which take dense integer rows.  GF(2)
-has its own kernel, ``rank_gf2``, on rows packed into Python ints.
+Every matrix arrives as its rows, never dense.  One sparse eliminator,
+``_rank``, serves every signed matrix: over GF(p) for a prime p, and over
+Q when p = 0.  Its rows are dicts {column: integer value} holding only the
+nonzero entries, and ``rank_rational`` and ``rank_mod_p`` pass them
+straight through; the input rows are never modified.  GF(2) has its own
+kernel, ``rank_gf2``, on rows packed into Python ints (bit j = column j).
+
+Both kernels share one pivot contract: a caller that passes a list as
+``pivots`` gets the pivot columns appended to it, one per unit of rank.
+Each pivot row is a combination of the input rows that is nonzero in its
+own pivot column and zero in the pivot columns of the pivot rows before
+it: in elimination order for ``_rank``, which clears a pivot's column from
+every row left, and in column order for ``rank_gf2``, whose pivot rows are
+keyed by their lowest set bit.  So the pivot rows restricted to the pivot
+columns form a triangular matrix with nonzero diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +23,9 @@ from math import gcd
 from typing import Sequence
 
 
-def _rank(rows: list[dict[int, int]], p: int) -> int:
+def _rank(
+    rows: Sequence[dict[int, int]], p: int, pivots: list[int] | None = None
+) -> int:
     """Rank over GF(p), or over Q when p == 0, of sparse rows {column: value}.
 
     Each step pivots on the sparsest row holding a unit entry: any nonzero
@@ -26,6 +39,8 @@ def _rank(rows: list[dict[int, int]], p: int) -> int:
     """
     if p:
         rows = [{j: v % p for j, v in r.items() if v % p} for r in rows]
+    else:
+        rows = [dict(r) for r in rows]  # reduced in place below
     rows = [r for r in rows if r]
     rank = 0
     while rows:
@@ -40,6 +55,8 @@ def _rank(rows: list[dict[int, int]], p: int) -> int:
             best = min(range(len(rows)), key=lambda i: len(rows[i]))
             col = next(iter(rows[best]))
         piv = rows.pop(best)
+        if pivots is not None:
+            pivots.append(col)
         a = piv[col]
         scale = not p and a != 1 and a != -1
         inv = pow(a, -1, p) if p else a  # a == +-1 is its own inverse
@@ -71,41 +88,38 @@ def _rank(rows: list[dict[int, int]], p: int) -> int:
     return rank
 
 
-def _sparse(mat: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(r) if v} for r in mat]
+def rank_rational(rows: Sequence[dict[int, int]]) -> int:
+    """Rank over Q of integer sparse rows {column: value}."""
+    return _rank(rows, 0)
 
 
-def rank_rational(mat: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over Q."""
-    return _rank(_sparse(mat), 0)
+def rank_mod_p(
+    rows: Sequence[dict[int, int]], p: int, pivots: list[int] | None = None
+) -> int:
+    """Rank over GF(p), p prime, of integer sparse rows {column: value}."""
+    return _rank(rows, p, pivots)
 
 
-def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over GF(p), p prime."""
-    return _rank(_sparse(mat), p)
-
-
-def rank_gf2(rows: Sequence[int], pivots: dict[int, int] | None = None) -> int:
+def rank_gf2(rows: Sequence[int], pivots: list[int] | None = None) -> int:
     """Rank over GF(2) of rows packed as int bitmasks.
 
     Each row is reduced by the earlier pivot rows until its lowest set bit
-    is new; it is then kept as the pivot for that bit.  The rank is the
-    number of pivots.  A caller that passes an empty dict as ``pivots``
-    gets them back, keyed by lowest bit: the keys are distinct columns, and
-    each value is a combination of the input rows.
+    is new; it is then kept as the pivot row for that column.  The rank is
+    the number of pivots.
     """
-    if pivots is None:
-        pivots = {}
+    table: dict[int, int] = {}  # lowest set bit -> pivot row
     for row in rows:
         r = row
         while r:
             low = r & -r
-            if low in pivots:
-                r ^= pivots[low]
+            if low in table:
+                r ^= table[low]
             else:
-                pivots[low] = r
+                table[low] = r
                 break
-    return len(pivots)
+    if pivots is not None:
+        pivots.extend([low.bit_length() - 1 for low in table])
+    return len(table)
 
 
 def parse_field(field: str) -> tuple[str, int]:

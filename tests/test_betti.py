@@ -167,7 +167,7 @@ class TestOracleAgreement:
         for n in (2, 3):
             for g in enumerate_graphs(n, dedup=True):
                 ideal = initial_ideal(g)
-                for field_tag in ("q", "f2"):
+                for field_tag in ("q", "f2", "fp:3"):
                     assert (
                         betti_table_hochster(ideal, field_tag).entries
                         == betti_table_koszul(ideal, field_tag).entries
@@ -186,7 +186,7 @@ class TestOracleAgreement:
         rng = random.Random(11)
         for _ in range(25):
             ideal = random_squarefree_ideal(rng)
-            for field_tag in ("q", "f2"):
+            for field_tag in ("q", "f2", "fp:3"):
                 assert (
                     betti_table_hochster(ideal, field_tag).entries
                     == betti_table_koszul(ideal, field_tag).entries

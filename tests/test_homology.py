@@ -2,11 +2,12 @@ import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from edgebetti.betti import _faces_within, _union_closure
-from edgebetti.homology import _gf2_boundary_ranks, homology_from_faces
+from edgebetti.homology import _cleared_ranks, homology_from_faces
 from edgebetti.ideals import mark_supersets
-from edgebetti.linalg import rank_gf2
 
 # Minimal 6-vertex triangulation of the real projective plane: 2-torsion in
 # H_1, so the rational and GF(2) answers genuinely differ.
@@ -105,23 +106,25 @@ def test_euler_characteristic_is_field_free(faces):
         assert sum((-1) ** pos * v for pos, v in enumerate(h)) == euler
 
 
-def full_boundary_rows(faces, c):
-    """Every column of the boundary map from cardinality c, none cleared."""
+def full_signed_boundary(faces, c):
+    """The whole signed boundary map from cardinality c, dense, none cleared."""
     idx = {f: i for i, f in enumerate(faces[c - 1])}
-    rows = [0] * len(faces[c - 1])
+    mat = [[0] * len(faces[c]) for _ in faces[c - 1]]
     for col, f in enumerate(faces[c]):
-        for v in range(f.bit_length()):
-            if f >> v & 1:
-                rows[idx[f & ~(1 << v)]] |= 1 << col
-    return rows
+        slots = [v for v in range(f.bit_length()) if f >> v & 1]
+        for k, v in enumerate(slots):
+            mat[idx[f & ~(1 << v)]][col] = (-1) ** k
+    return mat
 
 
 def assert_cleared_ranks_exact(faces):
-    ranks = _gf2_boundary_ranks(faces)
-    assert len(ranks) == len(faces) + 1
-    assert ranks[0] == ranks[-1] == 0
-    for c in range(1, len(faces)):
-        assert ranks[c] == rank_gf2(full_boundary_rows(faces, c))
+    for p in (2, 3, 5):
+        ranks = _cleared_ranks(faces, p)
+        assert len(ranks) == len(faces) + 1
+        assert ranks[0] == ranks[-1] == 0
+        for c in range(1, len(faces)):
+            full = DomainMatrix.from_list(full_signed_boundary(faces, c), ZZ)
+            assert ranks[c] == full.convert_to(GF(p)).rank(), (p, c)
 
 
 @st.composite
@@ -140,6 +143,7 @@ def test_cleared_gf2_ranks_match_full_matrices(faces):
 
 
 def test_cleared_gf2_ranks_on_named_complexes():
+    # RP^2 has H_1 = Z/2, so its GF(2) and GF(3) ranks differ
     sphere = [tuple(f) for f in itertools.combinations(range(1, 5), 3)]
     for ground, facets in ((6, RP2_FACETS), (4, sphere)):
         assert_cleared_ranks_exact(cx_from_vertex_facets(ground, facets))

@@ -16,7 +16,6 @@ from edgebetti.ideals import (
     initial_ideal,
     mark_supersets,
     minimalize,
-    monomial_str,
     x_slot,
     y_slot,
 )
@@ -126,10 +125,6 @@ class TestMonomialIdeal:
     def test_slot_range_checked(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, (0b100,))
-
-    def test_pretty(self):
-        assert monomial_str(mask(2, xs=[1], ys=[2]), 2) == "x1*y2"
-        assert monomial_str(0) == "1"
 
 
 class TestEdgeGenerators:
