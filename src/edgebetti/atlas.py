@@ -10,7 +10,6 @@ are reproducible run to run and worker-count independent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -22,14 +21,6 @@ from .graph6 import graph6_encode
 from .graphs import Graph, canon_key, canonical_form, connected_components
 
 EXHAUSTIVE_LIMIT = 7
-JOBS_ENV_VAR = "EDGEBETTI_JOBS"
-
-
-def default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 @lru_cache(maxsize=None)
@@ -171,15 +162,9 @@ def compute_atlas(
     return Atlas(n, field_tag, all_side, conn_side, slice_pairs, records)
 
 
-def verify_main_theorem(
-    n: int,
-    field_tag: str = "q",
-    jobs: int = 1,
-    atlas: Optional[Atlas] = None,
-) -> CheckReport:
+def verify_main_theorem(atlas: Atlas) -> CheckReport:
     """Empirical sizes minus the reg = n-1 slice match both closed forms."""
-    if atlas is None:
-        atlas = compute_atlas(n, field_tag, jobs)
+    n = atlas.n
     want_all = {pr for pr in pdreg_closed_form(n) if pr[1] != n - 1}
     got_all = {pr for pr in atlas.all_graphs.pairs if pr[1] != n - 1}
     want_conn = {pr for pr in connected_pdreg_closed_form(n) if pr[1] != n - 1}
@@ -206,17 +191,16 @@ def verify_main_theorem(
     )
 
 
-def probe_conjecture(
-    n: int,
-    field_tag: str = "q",
-    jobs: int = 1,
-    atlas: Optional[Atlas] = None,
-) -> CheckReport:
-    """Every class with reg = n-1 has pd <= n (and pd <= 2n-7 for n >= 6)."""
+def check_probe_range(n: int) -> None:
+    """The probe is run for 5 <= n <= 7; callers check before building an atlas."""
     if not 5 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError("the probe runs for 5 <= n <= 7")
-    if atlas is None:
-        atlas = compute_atlas(n, field_tag, jobs)
+
+
+def probe_conjecture(atlas: Atlas) -> CheckReport:
+    """Every class with reg = n-1 has pd <= n (and pd <= 2n-7 for n >= 6)."""
+    n = atlas.n
+    check_probe_range(n)
     slice_records = [rec for rec in atlas.records if rec.reg == n - 1]
     failures = []
     for rec in slice_records:

@@ -1,7 +1,9 @@
 """Executable checkers for the bounds, formulas and characterizations.
 
-Every checker recomputes invariants through the Betti engine and never
-reuses a construction's claimed values.  A failed check always carries a
+Class checkers take the engine's (pd, reg) of the graph they check, which
+exhaustive runs read from the atlas record.  Composition checkers compute
+their composites and parts through the Betti engine and never reuse a
+construction's claimed values.  A failed check always carries a
 counterexample payload (graph6 plus the offending numbers) so exhaustive
 runs produce actionable reports.
 """
@@ -66,12 +68,12 @@ class CheckReport:
         return cls(name, population, not failures, first, details)
 
 
-def check_global_bounds(g: Graph, field_tag: str = "q") -> CheckReport:
-    """Every unconditional bound and both extreme-value characterizations."""
+def check_global_bounds(g: Graph, pair: tuple[int, int]) -> CheckReport:
+    """Every unconditional bound and extreme-value iff for g's (pd, reg) ``pair``."""
     if g.has_isolated_vertex() or g.n < 2:
         raise ValueError("bounds are stated for graphs on >= 2 non-isolated vertices")
     n = g.n
-    p, r = pd_reg(g, field_tag)
+    p, r = pair
     complete_g = is_complete(g)
     path_g = is_path_graph(g)
     connected = g.is_connected()
@@ -240,12 +242,14 @@ def check_gluing_formulas(g: Graph, field_tag: str = "q") -> CheckReport:
 # -- structural characterizations -----------------------------------------------
 
 
-def check_characterizations(g: Graph, field_tag: str = "q") -> CheckReport:
-    """Both directions of the three shape iffs, plus the reg windows."""
+def check_characterizations(
+    g: Graph, pair: tuple[int, int], field_tag: str = "q"
+) -> CheckReport:
+    """Both directions of the three shape iffs, plus the reg windows, for ``pair``."""
     if g.n < 5 or g.has_isolated_vertex():
         raise ValueError("characterizations need n >= 5 non-isolated vertices")
     n = g.n
-    p, r = pd_reg(g, field_tag)
+    p, r = pair
     max_shape = is_max_pd_shape(g)
     second_shape, reason = classify_second_max_pd_shape(g)
     clauses: dict[str, bool] = {

@@ -9,6 +9,7 @@ document.  Exit codes: 0 all good, 1 some check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -16,9 +17,8 @@ from pathlib import Path
 
 from .atlas import (
     EXHAUSTIVE_LIMIT,
+    check_probe_range,
     compute_atlas,
-    default_jobs,
-    enumerate_graphs,
     probe_conjecture,
     verify_main_theorem,
 )
@@ -145,7 +145,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "verified": verify,
             "trace": list(cert.trace),
         },
-        args.field,
+        "q",  # realize verifies its witness over Q
         time.perf_counter() - t0,
     )
     _emit(
@@ -244,14 +244,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         parse_field(args.field)
         _require_slow(args, args.n)
         reports = []
-        if args.suite in ("all", "main"):
-            reports.append(verify_main_theorem(args.n, args.field, jobs=args.jobs))
-        if args.suite in ("all", "bounds"):
-            for g in enumerate_graphs(args.n, dedup=True):
-                reports.append(check_global_bounds(g, args.field))
-        if args.suite in ("all", "characterizations") and args.n >= 5:
-            for g in enumerate_graphs(args.n, dedup=True):
-                reports.append(check_characterizations(g, args.field))
+        if args.suite != "compositions":
+            # The class suites share one atlas: each class is computed once.
+            atlas = compute_atlas(args.n, args.field, args.jobs)
+            if args.suite in ("all", "main"):
+                reports.append(verify_main_theorem(atlas))
+            classes = [(rec.graph, (rec.pd, rec.reg)) for rec in atlas.records]
+            if args.suite in ("all", "bounds"):
+                reports += [check_global_bounds(g, pair) for g, pair in classes]
+            if args.suite in ("all", "characterizations") and args.n >= 5:
+                reports += [
+                    check_characterizations(g, pair, args.field) for g, pair in classes
+                ]
         if args.suite in ("all", "compositions"):
             reports.extend(_composition_suite(args.field, seed=7, budget=12))
     except ValueError as exc:
@@ -283,7 +287,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     try:
         parse_field(args.field)
         _require_slow(args, args.n)
-        report = probe_conjecture(args.n, args.field, jobs=args.jobs)
+        check_probe_range(args.n)
+        report = probe_conjecture(compute_atlas(args.n, args.field, args.jobs))
     except ValueError as exc:
         doc = make_report("conjecture", {"n": args.n}, {"error": str(exc)})
         _emit(doc, args, [f"error: {exc}"])
@@ -304,6 +309,14 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: 1 to the core count, refused before any pool starts."""
+    jobs, cores = int(text), os.cpu_count() or 1
+    if not 1 <= jobs <= cores:
+        raise argparse.ArgumentTypeError(f"--jobs must be between 1 and {cores}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgebetti",
@@ -311,17 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def exhaustive(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--slow-ok", action="store_true")
         p.add_argument("--field", default="q", help="q, f2 or fp:<prime>")
-        p.add_argument("--jobs", type=int, default=default_jobs(), help="worker count")
-        p.add_argument("--out", help="write the JSON report to this path")
+        cores = os.cpu_count() or 1
+        p.add_argument("--jobs", type=_jobs, default=cores, help="worker count")
 
     p = sub.add_parser("compute", help="invariants of one graph")
     p.add_argument("--graph6", help="graph6 string")
     p.add_argument("--edges", help="edge list like 1-2,2-3")
     p.add_argument("--n", type=int, help="vertex count when using --edges")
     p.add_argument("--betti", action="store_true", help="include the Betti table")
-    common(p)
+    p.add_argument("--field", default="q", help="q, f2 or fp:<prime>")
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("construct", help="witness graph for a size pair")
@@ -329,37 +344,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pd", type=int, required=True)
     p.add_argument("--reg", type=int, required=True)
     p.add_argument("--connected", action="store_true")
-    common(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("atlas", help="empirical size set over all classes at n")
-    p.add_argument("--n", type=int, required=True)
+    exhaustive(p)
     p.add_argument(
         "--labeled",
         action="store_true",
         help="every labelled graph, not one per isomorphism class (n <= 5)",
     )
-    p.add_argument("--slow-ok", action="store_true")
-    common(p)
     p.set_defaults(fn=_cmd_atlas)
 
     p = sub.add_parser("verify", help="run checker suites at n")
-    p.add_argument("--n", type=int, required=True)
+    exhaustive(p)
     p.add_argument(
         "--suite",
         default="all",
         choices=["all", "main", "bounds", "characterizations", "compositions"],
     )
-    p.add_argument("--slow-ok", action="store_true")
-    common(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="probe the reg = n-1 slice")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--slow-ok", action="store_true")
-    common(p)
+    exhaustive(p)
     p.set_defaults(fn=_cmd_conjecture)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the JSON report to this path")
     return parser
 
 

@@ -76,7 +76,7 @@ def test_c2_extremal_families():
 
 def test_c3_main_theorem_exhaustive(atlas_for):
     for n in (3, 4, 5, 6):
-        report = verify_main_theorem(n, atlas=atlas_for(n))
+        report = verify_main_theorem(atlas_for(n))
         assert report.passed, report.counterexample
     assert atlas_for(5).reg_top_slice == {(2, 4), (3, 4), (4, 4)}
     assert atlas_for(6).reg_top_slice == {(3, 5), (4, 5), (5, 5)}
@@ -233,7 +233,7 @@ def test_c7_composition_formulas_randomized():
 
 
 def test_c8_published_ceiling_at_n6(atlas_for):
-    report = probe_conjecture(6, atlas=atlas_for(6))
+    report = probe_conjecture(atlas_for(6))
     assert report.passed
     assert report.details["max_pd_in_slice"] == 5  # = 2n-7 at n=6
     _announce(8, "reg = 5 slice at n=6 stays under the published ceiling")
@@ -241,7 +241,7 @@ def test_c8_published_ceiling_at_n6(atlas_for):
 
 @pytest.mark.slow
 def test_c8_conjecture_probe_n7(atlas_for):
-    report = probe_conjecture(7, atlas=atlas_for(7))
+    report = probe_conjecture(atlas_for(7))
     assert report.passed, report.counterexample
     assert report.details["max_pd_in_slice"] <= 7
     _announce(

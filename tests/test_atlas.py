@@ -114,14 +114,14 @@ class TestFieldShadowRun:
 class TestVerifyAndProbe:
     def test_main_theorem_small(self, atlas_for):
         for n in (3, 4):
-            rep = verify_main_theorem(n, atlas=atlas_for(n))
+            rep = verify_main_theorem(atlas_for(n))
             assert rep.passed
 
     def test_probe_at_five(self, atlas_for):
-        rep = probe_conjecture(5, atlas=atlas_for(5))
+        rep = probe_conjecture(atlas_for(5))
         assert rep.passed
         assert rep.details["max_pd_in_slice"] == 4
 
-    def test_probe_range_checked(self):
+    def test_probe_range_checked(self, atlas_for):
         with pytest.raises(ValueError):
-            probe_conjecture(4)
+            probe_conjecture(atlas_for(4))

@@ -1,5 +1,6 @@
 import pytest
 
+from edgebetti import checks
 from edgebetti.betti import pd_reg
 from edgebetti.checks import (
     CheckReport,
@@ -47,15 +48,26 @@ class TestCheckReport:
         }
 
 
+def with_pair(g):
+    """A graph and the engine's (pd, reg) of it, as exhaustive runs pass them."""
+    return g, pd_reg(g)
+
+
 class TestGlobalBounds:
     def test_examples(self):
-        assert check_global_bounds(complete(5)).passed
-        assert check_global_bounds(path(6)).passed
-        assert check_global_bounds(cycle(5)).passed
+        assert check_global_bounds(*with_pair(complete(5))).passed
+        assert check_global_bounds(*with_pair(path(6))).passed
+        assert check_global_bounds(*with_pair(cycle(5))).passed
 
     def test_isolated_rejected(self):
         with pytest.raises(ValueError):
-            check_global_bounds(disjoint_union([path(2), isolated(1)]))
+            check_global_bounds(*with_pair(disjoint_union([path(2), isolated(1)])))
+
+    def test_judges_the_pair_it_is_given(self):
+        # K_5 has (pd, reg) = (3, 2); reg 3 breaks reg2_iff_complete.
+        rep = check_global_bounds(complete(5), (3, 3))
+        assert not rep.passed
+        assert "reg2_iff_complete" in rep.counterexample["failed"]
 
 
 class TestCompositionFormulas:
@@ -105,13 +117,26 @@ class TestCompositionFormulas:
 
 class TestCharacterizations:
     def test_examples(self):
-        assert check_characterizations(join(path(3), isolated(2))).passed
-        assert check_characterizations(second_max_pd_witness(6, 4)).passed
-        assert check_characterizations(cycle(6)).passed
+        assert check_characterizations(*with_pair(join(path(3), isolated(2)))).passed
+        assert check_characterizations(*with_pair(second_max_pd_witness(6, 4))).passed
+        assert check_characterizations(*with_pair(cycle(6))).passed
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            check_characterizations(complete(4))
+            check_characterizations(*with_pair(complete(4)))
+
+
+def test_class_checkers_do_not_recompute_their_class(atlas_for, monkeypatch):
+    records = atlas_for(5).records
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class checker recomputed its class")
+
+    monkeypatch.setattr(checks, "pd_reg", refuse)
+    for rec in records:
+        pair = (rec.pd, rec.reg)
+        assert check_global_bounds(rec.graph, pair).passed
+        assert check_characterizations(rec.graph, pair).passed
 
 
 class TestInternalVertexBound:
@@ -153,6 +178,6 @@ class TestMonotonicity:
 
 
 def test_reports_are_deterministic():
-    a = check_characterizations(second_max_pd_witness(6, 3))
-    b = check_characterizations(second_max_pd_witness(6, 3))
+    a = check_characterizations(*with_pair(second_max_pd_witness(6, 3)))
+    b = check_characterizations(*with_pair(second_max_pd_witness(6, 3)))
     assert a == b

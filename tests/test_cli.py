@@ -1,9 +1,11 @@
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
-from edgebetti import betti
+from edgebetti import betti, cli
 from edgebetti.cli import main
 from edgebetti.graph6 import graph6_encode
 from edgebetti.graphs import complete, path
@@ -87,6 +89,7 @@ class TestConstruct:
         assert doc["results"]["claimed_pd"] == 7
         assert doc["results"]["claimed_reg"] == 3
         assert doc["results"]["verified"] is True
+        assert doc["field"] == "q"  # realize verifies over Q
 
     def test_large_n_skips_certificate(self, capsys):
         code, doc = run(capsys, ["construct", "--n", "9", "--pd", "7", "--reg", "2"])
@@ -104,6 +107,19 @@ class TestConstruct:
             ["construct", "--n", "5", "--pd", "3", "--reg", "3", "--connected"],
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--n", "6", "--pd", "7", "--reg", "3", "--field", "f2"],
+            ["construct", "--n", "6", "--pd", "7", "--reg", "3", "--jobs", "1"],
+            ["compute", "--graph6", "C~", "--jobs", "1"],
+        ],
+    )
+    def test_options_it_would_ignore_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestVerifyAndAtlas:
@@ -135,3 +151,52 @@ class TestVerifyAndAtlas:
         code, doc = run(capsys, ["conjecture", "--n", "5", "--jobs", "1"])
         assert code == 0
         assert doc["results"]["passed"] is True
+
+
+class TestOneAtlasPerCommand:
+    @pytest.fixture
+    def atlas_calls(self, monkeypatch):
+        calls = []
+        compute_atlas = cli.compute_atlas
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute_atlas(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_atlas", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["verify", "--n", "5"], 1),
+            (["verify", "--n", "5", "--suite", "compositions"], 0),
+            (["conjecture", "--n", "5"], 1),
+            (["atlas", "--n", "5"], 1),
+        ],
+    )
+    def test_compute_atlas_calls(self, capsys, atlas_calls, argv, want):
+        code, _ = run(capsys, argv + ["--jobs", "1"])
+        assert code == 0
+        assert len(atlas_calls) == want
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cores")
+    def test_verify_report_independent_of_jobs(self, capsys):
+        _, serial = run(capsys, ["verify", "--n", "5", "--jobs", "1"])
+        _, pooled = run(capsys, ["verify", "--n", "5", "--jobs", "2"])
+        assert strip_timing(serial) == strip_timing(pooled)
+        assert serial["results"]["checks_run"] == 71  # 1 + 23 + 23 + 24
+
+
+class TestJobsValidation:
+    @pytest.mark.parametrize("cmd", ["atlas", "verify", "conjecture"])
+    def test_out_of_range_refused_before_any_pool(self, capsys, monkeypatch, cmd):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        for jobs in (0, (os.cpu_count() or 1) + 1):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--n", "5", "--jobs", str(jobs)])
+            assert exc.value.code == 2
+            assert "--jobs must be between 1 and" in capsys.readouterr().err
