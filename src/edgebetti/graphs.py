@@ -377,6 +377,41 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def breadth_first(g: Graph) -> Graph:
+    """Relabel g 1..n in breadth-first visiting order.
+
+    The search starts at a vertex of least degree (lowest label on ties) and
+    visits neighbours in increasing label; each further component starts at
+    its own least-degree unvisited vertex.  The result is isomorphic to g.
+
+    This labelling exists for cost, as ``canonical_form`` exists for
+    deduplication.  The Betti numbers of J_G are isomorphism invariants, and
+    pd and reg of J_G equal those of S/in_<(J_G) under any labelling because
+    that initial ideal is squarefree (Conca-Varbaro 2020).  The size of the
+    initial ideal, and so the work in Hochster's formula, does depend on the
+    labelling: on the n = 6 atlas the breadth-first labels give 1,381
+    generators where the canonical labels give 2,199.
+    """
+    by_degree = sorted(range(g.n), key=lambda v: (g.rows[v].bit_count(), v))
+    order: list[int] = []
+    seen = 0
+    for start in by_degree:
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            fresh = g.rows[order[head]] & ~seen
+            head += 1
+            seen |= fresh
+            order.extend(_bits(fresh))
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new + 1
+    return relabel(g, perm)
+
+
 def _min_order(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Vertex order (0-based) realising the lexicographically least key.
 

@@ -26,7 +26,7 @@ _ATLAS_CACHE = {}
 
 @pytest.fixture(scope="session")
 def atlas_for():
-    """Session-wide atlas cache: the n = 6 run is minutes, share it."""
+    """Session-wide atlas cache: every n = 6 run takes seconds, so tests share one."""
 
     def get(n, field_tag="q"):
         key = (n, field_tag)

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import networkx
 import pytest
 
+from edgebetti import atlas as atlas_module
 from edgebetti.atlas import (
     _class_reps,
     atlas_records,
@@ -9,8 +13,17 @@ from edgebetti.atlas import (
     probe_conjecture,
     verify_main_theorem,
 )
-from edgebetti.betti import pd_reg
-from edgebetti.graphs import canon_key, canonical_form, connected_components, from_edges
+from edgebetti.betti import graph_betti_table, pd_reg, pd_reg_of_table
+from edgebetti.graph6 import graph6_encode
+from edgebetti.graphs import (
+    breadth_first,
+    canon_key,
+    canonical_form,
+    connected_components,
+    from_edges,
+)
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def atlas_keys(n):
@@ -101,6 +114,67 @@ class TestAtlas:
         assert [(r.pd, r.reg) for r in serial] == [
             (r.pd, r.reg) for r in parallel
         ]
+
+
+class TestBreadthFirstLabelling:
+    def test_serial_engine_sees_breadth_first_graphs(self, monkeypatch):
+        seen = []
+
+        def recording(g, field_tag="q"):
+            seen.append(g)
+            return pd_reg(g, field_tag)
+
+        monkeypatch.setattr(atlas_module, "pd_reg", recording)
+        recs = atlas_records(5)
+        reps = list(enumerate_graphs(5, dedup=True))
+        assert seen == [breadth_first(g) for g in reps]
+        assert [r.graph for r in recs] == reps
+
+    def test_pool_sees_breadth_first_graphs(self, monkeypatch):
+        sent = []
+
+        class InlinePool:
+            def __init__(self, jobs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                sent.extend(items)
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr("multiprocessing.Pool", InlinePool)
+        recs = atlas_records(4, jobs=2)
+        reps = list(enumerate_graphs(4, dedup=True))
+        assert [(n, rows) for n, rows, _ in sent] == [
+            (g.n, breadth_first(g).rows) for g in reps
+        ]
+        assert [r.graph for r in recs] == reps
+
+    @pytest.mark.parametrize("field_tag", ["q", "f2", "fp:3"])
+    def test_pairs_do_not_depend_on_the_labelling(self, field_tag):
+        for n in range(2, 6):
+            for g in enumerate_graphs(n, dedup=True):
+                want = pd_reg_of_table(graph_betti_table(g, field_tag))
+                assert pd_reg(breadth_first(g), field_tag) == want, (g, field_tag)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("field_tag", ["q", "f2", "fp:3"])
+    def test_pairs_do_not_depend_on_the_labelling_at_six(self, field_tag):
+        for g in enumerate_graphs(6, dedup=True):
+            want = pd_reg_of_table(graph_betti_table(g, field_tag))
+            assert pd_reg(breadth_first(g), field_tag) == want, (g, field_tag)
+
+    @pytest.mark.slow
+    def test_atlas_at_seven_matches_frozen_records(self):
+        frozen = json.loads(EXPECTED.read_text())["n7"]["records"]
+        got = [[graph6_encode(r.graph), r.pd, r.reg] for r in compute_atlas(7).records]
+        assert len(got) == 888
+        assert got == frozen
 
 
 class TestFieldShadowRun:

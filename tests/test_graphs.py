@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgebetti.graphs import (
     Graph,
+    breadth_first,
     canon_key,
     canonical_form,
     complete,
@@ -236,3 +237,47 @@ class TestCanonicalForm:
         perm = list(g.vertices)
         rnd.shuffle(perm)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+class TestBreadthFirst:
+    def test_path_example(self):
+        g = from_edges(5, [(3, 1), (1, 5), (5, 2), (2, 4)])
+        assert breadth_first(g) == path(5)
+        assert breadth_first(path(5)) == path(5)
+
+    def test_neighbours_in_increasing_label(self):
+        # 2 reaches 3 before 4, so 3's pendant comes before 4's
+        for tail in ((3, 5), (4, 5)):
+            g = from_edges(5, [(1, 2), (2, 3), (2, 4), tail])
+            assert breadth_first(g) == g
+
+    def test_cycle_example(self):
+        assert edge_set(breadth_first(cycle(6))) == {
+            (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6)
+        }
+
+    def test_components_start_at_their_least_degree_vertex(self):
+        # A triangle with a pendant at 3, then the path 6-5-7: the search
+        # starts at the pendant 4, and the second component at 6, not at 5.
+        g = from_edges(7, [(1, 2), (1, 3), (2, 3), (3, 4), (5, 6), (5, 7)])
+        assert edge_set(breadth_first(g)) == {
+            (1, 2), (2, 3), (2, 4), (3, 4), (5, 6), (6, 7)
+        }
+
+    @given(small_graphs(min_n=1, max_n=7))
+    @settings(max_examples=80, deadline=None)
+    def test_isomorphic_and_in_breadth_first_layers(self, g):
+        h = breadth_first(g)
+        assert canon_key(h) == canon_key(g)
+        comps = connected_components(h)
+        starts = [comp[0] for comp in comps]
+        # components are contiguous label blocks, started in degree order
+        assert [v for comp in comps for v in comp] == list(h.vertices)
+        assert [h.degree(s) for s in starts] == sorted(h.degree(s) for s in starts)
+        for comp in comps:
+            assert h.degree(comp[0]) == min(h.degree(v) for v in comp)
+            # each later vertex hangs off an earlier one, and the vertices
+            # are labelled in the order their parents were dequeued
+            parents = [min(h.neighbors(v)) for v in comp[1:]]
+            assert all(p < v for p, v in zip(parents, comp[1:]))
+            assert parents == sorted(parents)
