@@ -13,7 +13,6 @@ from .betti import (
     PdRegPair,
     betti_table_hochster,
     betti_table_koszul,
-    depth_of_quotient,
     pd_reg,
 )
 from .families import (
@@ -38,7 +37,6 @@ __all__ = [
     "betti_table_hochster",
     "betti_table_koszul",
     "canonical_form",
-    "depth_of_quotient",
     "from_edges",
     "graph6_decode",
     "graph6_encode",

@@ -57,9 +57,7 @@ def _pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def enumerate_graphs(
-    n: int, dedup: bool = False, connected_only: bool = False
-) -> Iterator[Graph]:
+def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All graphs on exactly n vertices with no isolated vertex.
 
     With ``dedup`` one canonical representative per isomorphism class, in
@@ -69,11 +67,8 @@ def enumerate_graphs(
         raise ValueError(f"exhaustive enumeration restricted to 1 <= n <= {EXHAUSTIVE_LIMIT}")
     if dedup:
         for g in _class_reps(n):
-            if g.has_isolated_vertex():
-                continue
-            if connected_only and not g.is_connected():
-                continue
-            yield g
+            if not g.has_isolated_vertex():
+                yield g
         return
     pairs = _pair_order(n)
     for mask in range(1 << len(pairs)):
@@ -84,10 +79,7 @@ def enumerate_graphs(
                 rows[j] |= 1 << i
         if any(not r for r in rows):
             continue
-        g = Graph(n, tuple(rows))
-        if connected_only and not g.is_connected():
-            continue
-        yield g
+        yield Graph(n, tuple(rows))
 
 
 @dataclass(frozen=True)

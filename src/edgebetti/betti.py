@@ -258,10 +258,3 @@ def _pd_reg_rows(n: int, rows: tuple[int, ...], field: str) -> PdRegPair:
 def pd_reg(g: Graph, field: str = "q") -> PdRegPair:
     """(proj dim, regularity) of the binomial edge ideal of g."""
     return _pd_reg_rows(g.n, g.rows, field)
-
-
-def depth_of_quotient(g: Graph, field: str = "q") -> int:
-    """depth of S/J via the Auslander-Buchsbaum formula, 2n - pd(S/J)."""
-    p, _ = pd_reg(g, field)
-    return 2 * g.n - (p + 1)
-

@@ -1,11 +1,12 @@
 """Executable checkers for the bounds, formulas and characterizations.
 
-Class checkers take the engine's (pd, reg) of the graph they check, which
-exhaustive runs read from the atlas record.  Composition checkers compute
-their composites and parts through the Betti engine and never reuse a
-construction's claimed values.  A failed check always carries a
-counterexample payload (graph6 plus the offending numbers) so exhaustive
-runs produce actionable reports.
+Every checker here runs in ``verify``.  Class checkers take the engine's
+(pd, reg) of the graph they check, which ``verify`` reads from the atlas
+record of every isomorphism class.  Composition checkers run on a seeded
+random sample; they compute their composites and parts through the Betti
+engine and never reuse a construction's claimed values.  A failed check
+always carries a counterexample payload (graph6 plus the offending
+numbers) so exhaustive runs produce actionable reports.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ from .families import (
 from .graph6 import graph6_encode
 from .graphs import (
     Graph,
-    decompose_gluing,
-    delete_vertex,
     disjoint_union,
-    induced_subgraph,
-    is_clique,
     is_complete,
     is_path_graph,
-    is_simplicial,
     join,
-    neighborhood_completion,
     vertex_connectivity,
 )
 
@@ -209,36 +204,6 @@ def check_cone_formula(base: Graph, field_tag: str = "q") -> CheckReport:
     )
 
 
-def check_gluing_formulas(g: Graph, field_tag: str = "q") -> CheckReport:
-    """pd and reg across a split at a vertex simplicial in both parts."""
-    split = decompose_gluing(g)
-    if split is None:
-        raise ValueError("graph is not decomposable")
-    left = induced_subgraph(g, split.left)
-    right = induced_subgraph(g, split.right)
-    p, r = pd_reg(g, field_tag)
-    lp, lr = pd_reg(left, field_tag)
-    rp, rr = pd_reg(right, field_tag)
-    ok = p == lp + rp + 1 and r == lr + rr - 1
-    failures = (
-        []
-        if ok
-        else [
-            {
-                "graph6": graph6_encode(g),
-                "got": [p, r],
-                "expected": [lp + rp + 1, lr + rr - 1],
-            }
-        ]
-    )
-    return CheckReport.from_failures(
-        "gluing_formulas",
-        f"n={g.n} split at {split.vertex}",
-        failures,
-        {"left": [lp, lr], "right": [rp, rr], "vertex": split.vertex},
-    )
-
-
 # -- structural characterizations -----------------------------------------------
 
 
@@ -279,78 +244,4 @@ def check_characterizations(
         f"graph n={n}",
         failures,
         {"pd": p, "reg": r, "second_max_reason": reason},
-    )
-
-
-def check_internal_vertex_bound(g: Graph, v: int, field_tag: str = "q") -> CheckReport:
-    """reg(g) <= max(reg(g - v), reg(g_v), reg(g_v - v) + 1) for internal v.
-
-    Terms whose graph has no edge drop out (their ideal is zero).
-    """
-    if is_simplicial(g, v):
-        raise ValueError(f"vertex {v} is simplicial; the bound needs an internal vertex")
-    _, r = pd_reg(g, field_tag)
-    terms = []
-    deleted = delete_vertex(g, v)
-    completed = neighborhood_completion(g, v)
-    completed_deleted = delete_vertex(completed, v)
-    if deleted.edge_count:
-        terms.append(pd_reg(deleted, field_tag).reg)
-    terms.append(pd_reg(completed, field_tag).reg)
-    terms.append(pd_reg(completed_deleted, field_tag).reg + 1)
-    bound = max(terms)
-    failures = (
-        []
-        if r <= bound
-        else [{"graph6": graph6_encode(g), "vertex": v, "reg": r, "bound": bound}]
-    )
-    return CheckReport.from_failures(
-        "internal_vertex_reg_bound",
-        f"n={g.n} v={v}",
-        failures,
-        {"reg": r, "bound_terms": terms},
-    )
-
-
-def check_clique_bound(g: Graph, w: Sequence[int], field_tag: str = "q") -> CheckReport:
-    """reg(g) <= n + 2 - |W| for a clique W of a connected graph."""
-    if not g.is_connected():
-        raise ValueError("the clique bound is stated for connected graphs")
-    vs = sorted(set(w))
-    if not is_clique(g, vs):
-        raise ValueError("W is not a clique")
-    _, r = pd_reg(g, field_tag)
-    bound = g.n + 2 - len(vs)
-    failures = (
-        []
-        if r <= bound
-        else [{"graph6": graph6_encode(g), "clique": vs, "reg": r, "bound": bound}]
-    )
-    return CheckReport.from_failures(
-        "clique_reg_bound", f"n={g.n} |W|={len(vs)}", failures, {"reg": r, "bound": bound}
-    )
-
-
-def check_monotonicity(g: Graph, w: Sequence[int], field_tag: str = "q") -> CheckReport:
-    """Induced subgraphs can only shrink both invariants."""
-    sub = induced_subgraph(g, w)
-    if sub.edge_count == 0:
-        raise ValueError("the restriction must keep at least one edge")
-    p, r = pd_reg(g, field_tag)
-    sp, sr = pd_reg(sub, field_tag)
-    ok = sp <= p and sr <= r
-    failures = (
-        []
-        if ok
-        else [
-            {
-                "graph6": graph6_encode(g),
-                "subset": sorted(set(w)),
-                "sub": [sp, sr],
-                "whole": [p, r],
-            }
-        ]
-    )
-    return CheckReport.from_failures(
-        "monotonicity", f"n={g.n} |W|={len(set(w))}", failures, {"sub": [sp, sr]}
     )

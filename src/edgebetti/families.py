@@ -27,6 +27,7 @@ from typing import Iterator, Optional
 
 from .betti import PdRegPair, pd_reg
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _bits,
     complement,
@@ -258,15 +259,6 @@ def near_max_reg_witness(n: int, p: int) -> Graph:
     return from_edges(n, edges)
 
 
-def clique_fan(n: int, m: int) -> Graph:
-    """Complete graph on 1..n-1 plus vertex n adjacent to m..n-1."""
-    if n < 2 or not 1 <= m <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= m <= n-1, got n={n}, m={m}")
-    edges = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
-    edges += [(i, n) for i in range(m, n)]
-    return from_edges(n, edges)
-
-
 # -- the closed-form size sets ---------------------------------------------------
 
 
@@ -350,13 +342,16 @@ def realize(
     """Witness graph on n non-isolated vertices with pd = p and reg = r.
 
     Pairs outside the closed-form set are refused, with a dedicated message
-    for the undetermined reg = n-1 slice.  With ``connected_required`` the
-    pair additionally needs p >= n-2, and the dispatch then only crosses
+    for the undetermined reg = n-1 slice, and so is n above the vertex
+    ceiling of ``Graph``.  With ``connected_required`` the pair
+    additionally needs p >= n-2, and the dispatch then only crosses
     connected constructions.  With ``verify`` (the default) the witness's
     invariants are recomputed from scratch before the certificate is issued.
     """
     if n < 3:
         raise RealizeError("realization starts at n = 3")
+    if n > MAX_VERTICES:
+        raise RealizeError(f"n = {n} exceeds the vertex ceiling {MAX_VERTICES}")
     if (p, r) not in pdreg_closed_form(n):
         if r == n - 1:
             raise RealizeError(

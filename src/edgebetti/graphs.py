@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 MAX_VERTICES = 31
 
@@ -171,7 +171,7 @@ def cone(g: Graph) -> Graph:
     return join(g, isolated(1))
 
 
-# -- subgraphs and local modifications ------------------------------------
+# -- subgraphs and complements -------------------------------------------
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -192,58 +192,12 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vs), tuple(rows))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not 1 <= v <= g.n:
-        raise ValueError(f"no vertex {v}")
-    return induced_subgraph(g, [u for u in g.vertices if u != v])
-
-
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge {{{u},{v}}} not present")
-    rows = list(g.rows)
-    rows[u - 1] &= ~(1 << (v - 1))
-    rows[v - 1] &= ~(1 << (u - 1))
-    return Graph(g.n, tuple(rows))
-
-
-def _complete_set(rows: list[int], mask: int) -> None:
-    for b in _bits(mask):
-        rows[b] |= mask & ~(1 << b)
-
-
-def neighborhood_completion(g: Graph, v: int) -> Graph:
-    """Same vertices, with the neighborhood of v turned into a clique."""
-    if not 1 <= v <= g.n:
-        raise ValueError(f"no vertex {v}")
-    rows = list(g.rows)
-    _complete_set(rows, g.rows[v - 1])
-    return Graph(g.n, tuple(rows))
-
-
-def edge_completion(g: Graph, e: tuple[int, int]) -> Graph:
-    """Both endpoint neighborhoods turned into cliques (e need not be an edge)."""
-    u, v = e
-    if u == v:
-        raise ValueError("endpoints must differ")
-    rows = list(g.rows)
-    _complete_set(rows, g.rows[u - 1])
-    _complete_set(rows, g.rows[v - 1])
-    return Graph(g.n, tuple(rows))
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(g.rows)))
 
 
 # -- structure predicates --------------------------------------------------
-
-
-def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
 
 
 def is_complete(g: Graph) -> bool:
@@ -258,14 +212,6 @@ def is_path_graph(g: Graph) -> bool:
         and g.edge_count == g.n - 1
         and max(g.degree(v) for v in g.vertices) <= 2
     )
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """A vertex is simplicial when its neighborhood induces a clique."""
-    if not 1 <= v <= g.n:
-        raise ValueError(f"no vertex {v}")
-    nbrs = list(_bits(g.rows[v - 1]))
-    return all(g.rows[a] >> b & 1 for a, b in itertools.combinations(nbrs, 2))
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -306,60 +252,6 @@ def vertex_connectivity(g: Graph) -> int:
             if not induced_subgraph(g, rest).is_connected():
                 return size
     raise AssertionError("non-complete connected graph must have a cut set")
-
-
-# -- gluing decomposition ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GluingSplit:
-    """A split G = G1 cup_v G2 at a vertex simplicial in both parts.
-
-    ``left`` and ``right`` are the parts' vertex sets in original labels;
-    both contain ``vertex`` and nothing else in common, and every edge of G
-    lies inside one of them.
-    """
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    vertex: int
-
-
-def decompose_gluing(g: Graph) -> Optional[GluingSplit]:
-    """First valid gluing split, or None for indecomposable graphs.
-
-    Deterministic choice: lowest-label cut vertex admitting a split, then the
-    split minimising (|left|, left as a tuple).  Both parts must have at
-    least two vertices.
-    """
-    if not g.is_connected():
-        raise ValueError("gluing decomposition needs a connected graph")
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        if not rest:
-            break
-        comps = connected_components(induced_subgraph(g, rest))
-        if len(comps) < 2:
-            continue
-        # components are labelled inside the deleted graph; map back
-        comp_sets = [tuple(rest[i - 1] for i in comp) for comp in comps]
-        best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-        for k in range(1, len(comp_sets)):
-            for chosen in itertools.combinations(range(len(comp_sets)), k):
-                left = sorted(
-                    [v] + [u for i in chosen for u in comp_sets[i]]
-                )
-                right = sorted(set(g.vertices) - set(left) | {v})
-                nb = g.neighbors_mask(v)
-                left_nb = [u for u in left if nb >> (u - 1) & 1]
-                right_nb = [u for u in right if nb >> (u - 1) & 1]
-                if is_clique(g, left_nb) and is_clique(g, right_nb):
-                    key = (len(left), tuple(left), tuple(right))
-                    if best is None or key < best:
-                        best = key
-        if best is not None:
-            return GluingSplit(best[1], best[2], v)
-    return None
 
 
 # -- relabelling and canonical forms ----------------------------------------

@@ -11,7 +11,6 @@ from edgebetti.betti import (
     EdgelessGraphError,
     betti_table_hochster,
     betti_table_koszul,
-    depth_of_quotient,
     graph_betti_table,
     pd_reg,
 )
@@ -113,14 +112,6 @@ class TestPdReg:
         sp, sr = pd_reg(sub)
         p, r = pd_reg(g)
         assert sp <= p and sr <= r
-
-
-class TestDepth:
-    def test_examples(self):
-        assert depth_of_quotient(complete(3)) == 4
-        assert depth_of_quotient(path(4)) == 5
-        # a join with two independent universal vertices has minimal depth
-        assert depth_of_quotient(join(path(3), isolated(2))) == 4
 
 
 def kpolynomial_numerator(ideal):

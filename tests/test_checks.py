@@ -5,22 +5,16 @@ from edgebetti.betti import pd_reg
 from edgebetti.checks import (
     CheckReport,
     check_characterizations,
-    check_clique_bound,
     check_cone_formula,
     check_disjoint_union_formulas,
     check_global_bounds,
-    check_gluing_formulas,
-    check_internal_vertex_bound,
     check_join_regularity,
-    check_monotonicity,
 )
-from edgebetti.families import clique_fan, second_max_pd_witness
+from edgebetti.families import second_max_pd_witness
 from edgebetti.graphs import (
     complete,
     cycle,
-    delete_edge,
     disjoint_union,
-    from_edges,
     isolated,
     join,
     path,
@@ -98,21 +92,11 @@ class TestCompositionFormulas:
         with pytest.raises(ValueError):
             check_cone_formula(complete(3))
 
-    def test_gluing_two_triangles(self):
-        g = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-        assert check_gluing_formulas(g).passed
-
-    def test_gluing_rejects_indecomposable(self):
-        with pytest.raises(ValueError):
-            check_gluing_formulas(complete(4))
-
     def test_composition_checks_over_f2(self):
-        triangles = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
         parts = [path(3), complete(2)]
         assert check_disjoint_union_formulas(parts, field_tag="f2").passed
         assert check_join_regularity(path(3), isolated(2), field_tag="f2").passed
         assert check_cone_formula(path(3), field_tag="f2").passed
-        assert check_gluing_formulas(triangles, field_tag="f2").passed
 
 
 class TestCharacterizations:
@@ -137,44 +121,6 @@ def test_class_checkers_do_not_recompute_their_class(atlas_for, monkeypatch):
         pair = (rec.pd, rec.reg)
         assert check_global_bounds(rec.graph, pair).passed
         assert check_characterizations(rec.graph, pair).passed
-
-
-class TestInternalVertexBound:
-    def test_examples(self):
-        assert check_internal_vertex_bound(path(4), 2).passed
-        assert check_internal_vertex_bound(delete_edge(complete(4), (1, 2)), 3).passed
-        star = from_edges(5, [(1, v) for v in range(2, 6)])
-        assert check_internal_vertex_bound(star, 1).passed
-
-    def test_simplicial_rejected(self):
-        with pytest.raises(ValueError):
-            check_internal_vertex_bound(path(3), 1)
-
-
-class TestCliqueBound:
-    def test_examples(self):
-        assert check_clique_bound(complete(5), [1, 2, 3, 4, 5]).passed
-        assert check_clique_bound(path(3), [1, 2]).passed
-        assert check_clique_bound(clique_fan(6, 3), [1, 2, 3, 4, 5]).passed
-
-    def test_non_clique_rejected(self):
-        with pytest.raises(ValueError):
-            check_clique_bound(path(3), [1, 3])
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            check_clique_bound(disjoint_union([path(2), path(2)]), [1, 2])
-
-
-class TestMonotonicity:
-    def test_examples(self):
-        assert check_monotonicity(path(5), [1, 2, 3]).passed
-        assert check_monotonicity(complete(5), [1, 2, 3]).passed
-        assert check_monotonicity(cycle(5), [1, 2, 3, 4, 5]).passed
-
-    def test_edgeless_restriction_rejected(self):
-        with pytest.raises(ValueError):
-            check_monotonicity(path(5), [1, 3, 5])
 
 
 def test_reports_are_deterministic():

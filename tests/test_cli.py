@@ -8,7 +8,7 @@ import pytest
 from edgebetti import betti, cli
 from edgebetti.cli import main
 from edgebetti.graph6 import graph6_encode
-from edgebetti.graphs import complete, path
+from edgebetti.graphs import complete, isolated, join, path
 from edgebetti.reports import strip_timing
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,6 +81,21 @@ class TestCompute:
         code, _ = run(capsys, ["compute", "--graph6", "B~"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "g, depth",
+        [
+            (complete(3), 4),
+            (path(4), 5),
+            # a join with two independent universal vertices has minimal depth
+            (join(path(3), isolated(2)), 4),
+        ],
+        ids=["K3", "P4", "P3_join_2K1"],
+    )
+    def test_depth_of_quotient(self, capsys, g, depth):
+        code, doc = run(capsys, ["compute", "--graph6", graph6_encode(g)])
+        assert code == 0
+        assert doc["results"]["depth_of_quotient"] == depth
+
 
 class TestConstruct:
     def test_witness_verified(self, capsys):
@@ -100,6 +115,13 @@ class TestConstruct:
         code, doc = run(capsys, ["construct", "--n", "6", "--pd", "5", "--reg", "5"])
         assert code == 2
         assert "undetermined" in doc["results"]["error"]
+
+    @pytest.mark.parametrize("n, pd, reg", [(32, 30, 32), (40, 38, 2)])
+    def test_above_the_vertex_ceiling_is_a_structured_error(self, capsys, n, pd, reg):
+        argv = ["construct", "--n", str(n), "--pd", str(pd), "--reg", str(reg)]
+        code, doc = run(capsys, argv)
+        assert code == 2
+        assert "vertex ceiling 31" in doc["results"]["error"]
 
     def test_connected_flag(self, capsys):
         code, doc = run(

@@ -7,7 +7,6 @@ from edgebetti.betti import pd_reg
 from edgebetti.families import (
     RealizeError,
     classify_second_max_pd_shape,
-    clique_fan,
     connected_pdreg_closed_form,
     find_covering_pair,
     is_max_pd_shape,
@@ -25,7 +24,6 @@ from edgebetti.graphs import (
     complete,
     cone,
     cycle,
-    decompose_gluing,
     disjoint_union,
     from_edges,
     induced_subgraph,
@@ -117,19 +115,6 @@ class TestNearMaxRegFamily:
     def test_whole_range_at_six(self):
         for p in range(2, 8):
             assert pd_reg(near_max_reg_witness(6, p)) == (p, 4)
-
-
-class TestCliqueFan:
-    def test_full_fan_is_decomposable(self):
-        g = clique_fan(5, 4)
-        assert decompose_gluing(g) is not None
-        assert pd_reg(g).pd == 3  # n - 2
-
-    def test_bounds(self):
-        for n, m in [(4, 1), (5, 2), (6, 3)]:
-            p, r = pd_reg(clique_fan(n, m))
-            assert p <= 2 * n - m - 3
-            assert r <= 3
 
 
 class TestShapeDetectors:

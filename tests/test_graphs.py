@@ -13,19 +13,12 @@ from edgebetti.graphs import (
     complete,
     connected_components,
     cycle,
-    decompose_gluing,
-    delete_edge,
-    delete_vertex,
     disjoint_union,
-    edge_completion,
     from_edges,
     induced_subgraph,
-    is_clique,
     is_complete,
-    is_simplicial,
     isolated,
     join,
-    neighborhood_completion,
     path,
     relabel,
     vertex_connectivity,
@@ -126,48 +119,6 @@ class TestSubgraphs:
         with pytest.raises(ValueError):
             induced_subgraph(path(3), [])
 
-    def test_delete_vertex(self):
-        assert edge_set(delete_vertex(path(3), 2)) == set()
-        assert edge_set(delete_vertex(path(3), 1)) == {(1, 2)}
-
-    def test_delete_edge(self):
-        g = delete_edge(complete(3), (1, 2))
-        assert edge_set(g) == {(1, 3), (2, 3)}
-        assert edge_set(delete_edge(path(2), (1, 2))) == set()
-        assert canon_key(delete_edge(cycle(4), (2, 3))) == canon_key(path(4))
-        with pytest.raises(ValueError):
-            delete_edge(path(3), (1, 3))
-
-    def test_neighborhood_completion(self):
-        assert is_complete(neighborhood_completion(path(3), 2))
-        assert neighborhood_completion(path(3), 1) == path(3)
-        star = from_edges(4, [(1, 2), (1, 3), (1, 4)])
-        assert is_complete(neighborhood_completion(star, 1))
-
-    def test_edge_completion(self):
-        g = edge_completion(path(4), (2, 3))
-        assert edge_set(g) == {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)}
-        assert edge_completion(complete(3), (1, 2)) == complete(3)
-        star = from_edges(4, [(1, 2), (1, 3), (1, 4)])
-        assert is_complete(edge_completion(star, (1, 2)))
-        with pytest.raises(ValueError):
-            edge_completion(path(3), (2, 2))
-
-
-class TestVertexClassification:
-    def test_examples(self):
-        assert not is_simplicial(path(3), 2)
-        assert is_simplicial(path(3), 1)
-        assert all(is_simplicial(complete(5), v) for v in range(1, 6))
-
-    def test_matches_induced_completeness(self):
-        for g in (cycle(5), path(4), complete(4)):
-            for v in g.vertices:
-                nbrs = g.neighbors(v)
-                expected = len(nbrs) < 2 or is_complete(induced_subgraph(g, nbrs))
-                assert is_simplicial(g, v) == expected
-
-
 class TestComponentsAndConnectivity:
     def test_components(self):
         g = disjoint_union([complete(3), path(2)])
@@ -181,37 +132,6 @@ class TestComponentsAndConnectivity:
         assert vertex_connectivity(complete(5)) == 4
         with pytest.raises(ValueError):
             vertex_connectivity(disjoint_union([path(2), path(2)]))
-
-
-class TestGluing:
-    def test_two_triangles(self):
-        g = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-        split = decompose_gluing(g)
-        assert split is not None
-        assert split.vertex == 3
-        assert split.left == (1, 2, 3) and split.right == (3, 4, 5)
-
-    def test_complete_is_indecomposable(self):
-        assert decompose_gluing(complete(4)) is None
-
-    def test_two_pendant_triangle_graph(self):
-        # path 1..4 with extra triangles at (1,2,5) and (2,3,6)
-        g = from_edges(6, [(1, 2), (2, 3), (3, 4), (1, 5), (2, 5), (2, 6), (3, 6)])
-        split = decompose_gluing(g)
-        assert split is not None
-        assert split.vertex == 2
-        assert split.left == (1, 2, 5)
-
-    def test_split_covers_all_edges(self):
-        g = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-        split = decompose_gluing(g)
-        left = induced_subgraph(g, split.left)
-        right = induced_subgraph(g, split.right)
-        assert left.edge_count + right.edge_count == g.edge_count
-        assert set(split.left) & set(split.right) == {split.vertex}
-        for part, verts in ((left, split.left), (right, split.right)):
-            pos = {v: i + 1 for i, v in enumerate(verts)}
-            assert is_clique(part, part.neighbors(pos[split.vertex]))
 
 
 class TestCanonicalForm:
