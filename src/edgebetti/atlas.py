@@ -14,8 +14,9 @@ invariants, and pd and reg of J_G equal those of S/in_<(J_G) for any
 labelling because that initial ideal is squarefree (Conca-Varbaro 2020).
 So ``atlas_records`` hands each class to ``pd_reg`` relabelled in
 breadth-first order (``graphs.breadth_first``), which on the n = 6 atlas
-cuts the homology computations from 59,140 to 25,346, and keeps the
-canonical representative in the record.
+cuts the generators from 2,199 to 1,381 and the subsets Hochster's formula
+visits from 103,575 to 49,548, and keeps the canonical representative in
+the record.
 """
 
 from __future__ import annotations

@@ -12,16 +12,41 @@ closure of the generator supports is therefore the whole iteration space.
 
 Many W restrict to the same complex up to relabelling, so each call keeps a
 memo from a subideal key to the homology vector of D_W.  The key is sound:
-D_W is fixed by the generators inside W (its minimal nonfaces); W is their
-union, so those generators also fix W; and squeezing W's slots onto
-0..|W|-1 in their order is a relabelling, which keeps homology.  Two W with
-the same squeezed generator list therefore have the same homology, and
-their Betti contributions land in the same degree j = |W|.  The memo lives
-for one call only, so no result depends on call order, on ``--jobs`` or on
-resuming a run.  Its key is one packed int rather than a tuple of
-generator ints, because a tuple keeps one object per generator for every
-key: on the atlas6 and compute_mix benchmark workloads tuple keys raised
-peak RSS by 2.5 and 3.9 MB, packed ints by 0.1 and 0.2 MB.
+D_W is fixed by the generators inside W (its minimal nonfaces) and W; and
+squeezing W's slots onto 0..|W|-1 in their order is a relabelling, which
+keeps homology.  Two complexes with the same squeezed generator list
+therefore have the same homology.  The memo lives for one call only, so no
+result depends on call order, on ``--jobs`` or on resuming a run.  Its key
+is one packed int rather than a tuple of generator ints, because a tuple
+keeps one object per generator for every key: on the atlas6 and
+compute_mix benchmark workloads tuple keys raised peak RSS by 2.5 and 3.9
+MB, packed ints by 0.1 and 0.2 MB.
+
+H~(D_W) is computed by recursion on the minimal nonfaces G, without
+building faces unless no rule below applies.  A singleton nonface {u}
+means u is not a vertex, so u leaves W.  Then D_W = {emptyset} when W is
+empty (H~_{-1} = 1), and a vertex of W in no nonface is a cone point, so
+D_W is acyclic.  Otherwise, for a vertex v,
+
+    D_W = del(v) u star(v),    del(v) n star(v) = lk(v),
+
+where del(v) has the nonfaces in G that avoid v, lk(v) lives on W - v with
+the minimal elements of {g - v : g in G} as nonfaces, and star(v), a cone
+on v, is acyclic.  The Mayer-Vietoris sequence of this union (exact in
+dimension -1 too, since every complex here holds the empty face) gives:
+
+* R1, link cone: if some vertex of lk(v) lies in no nonface of lk(v), then
+  lk(v) is a cone, hence acyclic, and H~(D_W) = H~(del(v)) = H~(D_{W-v}).
+* R2, deletion cone: otherwise, if some u in W - v lies only in nonfaces
+  that contain v, then u is a cone point of del(v), and
+  H~_d(D_W) = H~_{d-1}(lk(v)).
+
+The vertices are tried in increasing slot order, R1 before R2, and the
+first rule that fires is taken.  Both isomorphisms hold over the integers,
+so the recursion is the same over every field.  Only a complex on which no
+rule fires (a residue) has its faces enumerated, over its own slots, and
+its homology computed from boundary ranks.  Every complex met on the way,
+residues and R2's links included, goes through the memo.
 
 An independent cross-check computes Tor_i(S/I, K)_j as homology of the
 Koszul complex on all variables tensored with S/I, one squarefree
@@ -99,11 +124,16 @@ def _squeeze(g: int, w: int) -> int:
     return c
 
 
+def _union(masks) -> int:
+    u = 0
+    for m in masks:
+        u |= m
+    return u
+
+
 def _compress(gens: tuple[int, ...]) -> tuple[list[int], int]:
     """Drop unused slots: slots in no generator are cone points everywhere."""
-    used = 0
-    for g in gens:
-        used |= g
+    used = _union(gens)
     return [_squeeze(g, used) for g in gens], used.bit_count()
 
 
@@ -144,6 +174,58 @@ def _faces_within(w: int, nonface: bytearray) -> list[list[int]]:
     return faces
 
 
+def _reduced_homology(
+    w: int, gens: list[int], field: str, memo: dict[int, list[int]]
+) -> list[int]:
+    """Reduced homology dims of D_W, indexed by dimension -1, 0, ...
+
+    ``gens`` are the minimal nonfaces inside w, in increasing order; see the
+    module docstring for the rules.  Trailing zeros may be left out.
+    """
+    used = singles = 0
+    for g in gens:
+        used |= g
+        if g & (g - 1) == 0:
+            singles |= g
+    if singles:  # a singleton nonface {u}: u is not a vertex
+        w ^= singles
+        used ^= singles
+        gens = [g for g in gens if g & (g - 1)]
+    if not w:
+        return [1]
+    if used != w:
+        return []  # a cone
+    key = _subideal_key(w, gens)
+    hvec = memo.get(key)
+    if hvec is None:
+        hvec = memo[key] = _reduce(w, gens, field, memo)
+    return hvec
+
+
+def _reduce(w: int, gens: list[int], field: str, memo: dict[int, list[int]]) -> list[int]:
+    """H~(D_W) for a normalised W: R1 or R2 at the first vertex that admits
+    one, else the faces of the residue."""
+    rest = w
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        others = w ^ v
+        cut = [g ^ v for g in gens if g & v]
+        avoid = [g for g in gens if not g & v]  # the nonfaces of del(v)
+        del_apex = others & ~_union(avoid)
+        if not del_apex and not others & ~_union(cut):
+            continue  # lk(v)'s nonfaces include cut, so it has no apex either
+        # lk(v)'s minimal nonfaces: cut, and the g in avoid containing none of it.
+        link = sorted(cut + [g for g in avoid if not any(c & g == c for c in cut)])
+        if others & ~_union(link):  # R1: lk(v) is a cone
+            return _reduced_homology(others, avoid, field, memo)
+        if del_apex:  # R2: del(v) is a cone
+            return [0] + _reduced_homology(others, link, field, memo)
+    m = w.bit_count()
+    nonface = mark_supersets([_squeeze(g, w) for g in gens], m)
+    return homology_from_faces(_faces_within((1 << m) - 1, nonface), field)
+
+
 def betti_table_hochster(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
     """Betti table of S/I via Hochster's formula over the union closure."""
     if ideal.is_unit:
@@ -154,14 +236,10 @@ def betti_table_hochster(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
     gens, k = _compress(ideal.generators)
     if k > MAX_ACTIVE_SLOTS:
         raise ValueError(f"{k} active slots exceed the exhaustive budget")
-    nonface = mark_supersets(gens, k)
     memo: dict[int, list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     for w in _union_closure(gens):
-        key = _subideal_key(w, gens)
-        hvec = memo.get(key)
-        if hvec is None:
-            hvec = memo[key] = homology_from_faces(_faces_within(w, nonface), field)
+        hvec = _reduced_homology(w, [g for g in gens if g & w == g], field, memo)
         j = w.bit_count()
         for d, h in enumerate(hvec, start=-1):
             if h:

@@ -15,6 +15,7 @@ from edgebetti.betti import (
     pd_reg,
 )
 from edgebetti.graphs import (
+    breadth_first,
     complete,
     disjoint_union,
     from_edges,
@@ -264,10 +265,9 @@ class TestSubidealMemo:
                 assert by_key.setdefault(key, squeezed) == squeezed
                 assert by_tuple.setdefault(squeezed, key) == key
 
-    @pytest.mark.parametrize(
-        "graph, calls, pair", [(complete(9), 1597, (7, 2)), (path(10), 10, (8, 10))]
-    )
-    def test_one_homology_call_per_key(self, monkeypatch, graph, calls, pair):
+    @pytest.mark.parametrize("graph, pair", [(complete(9), (7, 2)), (path(10), (8, 10))])
+    def test_no_residue_on_single_graphs(self, monkeypatch, graph, pair):
+        """R1 and R2 reduce every complex of K_9 and P_10: no faces are built."""
         counted = []
 
         def counting(faces, field_tag):
@@ -276,4 +276,62 @@ class TestSubidealMemo:
 
         monkeypatch.setattr(betti, "homology_from_faces", counting)
         assert betti.pd_reg_of_table(graph_betti_table(graph)) == pair
-        assert len(counted) == calls
+        assert counted == []
+
+    def test_one_homology_call_per_residue_key(self, monkeypatch):
+        """On the n = 6 atlas, each residue of one call has its faces built once."""
+        per_call = []
+
+        def counting(faces, field_tag):
+            per_call[-1].append(tuple(map(tuple, faces)))
+            return homology_from_faces(faces, field_tag)
+
+        monkeypatch.setattr(betti, "homology_from_faces", counting)
+        for g in enumerate_graphs(6, dedup=True):
+            per_call.append([])
+            graph_betti_table(breadth_first(g))
+        residues = [faces for call in per_call for faces in call]
+        assert all(len(set(call)) == len(call) for call in per_call)
+        assert len(residues) == 83
+        assert sum(len(level) for faces in residues for level in faces) == 1190
+
+
+def trimmed(hvec):
+    hvec = list(hvec)
+    while hvec and not hvec[-1]:
+        hvec.pop()
+    return hvec
+
+
+class TestReductions:
+    """H~(D_W) from R1/R2 against the homology of D_W's full face set."""
+
+    def test_every_w_up_to_six(self):
+        fields = ("q", "f2", "fp:3")
+        # The full face set of D_W, once per subideal key: every W with that
+        # key has the same complex up to relabelling.
+        faces_by_key: dict[int, list[list[int]]] = {}
+        got_by_field = {f: [] for f in fields}
+        classes = 0
+        for n in range(2, 7):
+            for g in enumerate_graphs(n, dedup=True):
+                classes += 1
+                gens, k = betti._compress(initial_ideal(breadth_first(g)).generators)
+                nonface = mark_supersets(gens, k)
+                memos = {f: {} for f in fields}
+                for w in betti._union_closure(gens):
+                    key = betti._subideal_key(w, gens)
+                    if key not in faces_by_key:
+                        faces_by_key[key] = betti._faces_within(w, nonface)
+                    inside = [x for x in gens if x & w == x]
+                    for f in fields:
+                        hvec = betti._reduced_homology(w, inside, f, memos[f])
+                        got_by_field[f].append((key, trimmed(hvec), g, w))
+        assert (classes, len(got_by_field["q"]), len(faces_by_key)) == (155, 51621, 8949)
+        for f in fields:
+            want = {
+                key: trimmed(homology_from_faces(faces, f))
+                for key, faces in faces_by_key.items()
+            }
+            for key, got, g, w in got_by_field[f]:
+                assert got == want[key], (f, g, w)
