@@ -1,9 +1,14 @@
 """Exhaustive enumeration and the empirical Betti-table size atlas.
 
 Isomorphism classes are generated incrementally (extend every class on k
-vertices by one vertex with every possible neighborhood, canonicalize,
-dedupe), which keeps the n = 7 run at about a thousand classes instead of
-two million labelled graphs.  Everything downstream consumes the class
+vertices by one vertex, canonicalize, dedupe), which keeps the n = 7 run at
+about a thousand classes instead of two million labelled graphs.  A class h
+is extended once per twin orbit of neighbourhoods, not with all 2^k masks:
+the permutations inside a twin class of h are automorphisms of h, and masks
+related by an automorphism of h give isomorphic extensions, so a mask
+matters only through how many vertices of each twin class it holds.  That
+cuts the canonical forms computed for n <= 6 from 1,306 to 782 and for
+n <= 7 from 11,290 to 7,194.  Everything downstream consumes the class
 representatives in canonical-key order, so atlases, witnesses and reports
 are reproducible run to run and worker-count independent.
 
@@ -29,9 +34,32 @@ from .betti import pd_reg
 from .checks import CheckReport
 from .families import connected_pdreg_closed_form, pdreg_closed_form
 from .graph6 import graph6_encode
-from .graphs import Graph, breadth_first, canon_key, canonical_form, connected_components
+from .graphs import (
+    Graph,
+    breadth_first,
+    canonical_form,
+    connected_components,
+    packed_key,
+    twin_classes,
+)
 
 EXHAUSTIVE_LIMIT = 7
+
+
+def _twin_orbit_masks(h: Graph) -> list[int]:
+    """One neighbourhood mask per orbit of the twin swaps of h.
+
+    The permutations inside a twin class of h are automorphisms of h, so a
+    mask is fixed, up to them, by how many vertices of each class it
+    contains: take the first c vertices of each class, for every c.
+    """
+    masks = [0]
+    for block in twin_classes(h):
+        prefixes = [0]
+        for v in block:
+            prefixes.append(prefixes[-1] | 1 << (v - 1))
+        masks = [m | p for m in masks for p in prefixes]
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -42,15 +70,13 @@ def _class_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     seen: dict[tuple[int, int], Graph] = {}
+    new_bit = 1 << (n - 1)
     for h in _class_reps(n - 1):
-        for mask in range(1 << (n - 1)):
-            rows = list(h.rows)
-            for b in range(n - 1):
-                if mask >> b & 1:
-                    rows[b] |= 1 << (n - 1)
+        for mask in _twin_orbit_masks(h):
+            rows = [r | new_bit if mask >> b & 1 else r for b, r in enumerate(h.rows)]
             rows.append(mask)
             g = canonical_form(Graph(n, tuple(rows)))
-            seen.setdefault(canon_key(g), g)
+            seen.setdefault(packed_key(g), g)
     return tuple(g for _, g in sorted(seen.items()))
 
 

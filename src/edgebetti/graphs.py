@@ -304,50 +304,114 @@ def breadth_first(g: Graph) -> Graph:
     return relabel(g, perm)
 
 
+def _twin_masks(rows: Sequence[int]) -> list[int]:
+    """mask[v]: the vertices u != v that are twins of v (0-based bits).
+
+    u and v are twins when they have the same neighbours outside {u, v},
+    adjacent or not.  Swapping two twins is then an automorphism that fixes
+    every other vertex.  Being twins is an equivalence relation: a vertex
+    with a non-adjacent twin u and an adjacent twin w would have w as a
+    neighbour of u, so u in N[w] = N[v], a contradiction.
+    """
+    n = len(rows)
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return masks
+
+
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Twin classes of g, each ascending, ordered by least label."""
+    masks = _twin_masks(g.rows)
+    seen = 0
+    out = []
+    for v in range(g.n):
+        if not seen >> v & 1:
+            block = masks[v] | 1 << v
+            seen |= block
+            out.append(tuple(b + 1 for b in _bits(block)))
+    return tuple(out)
+
+
 def _min_order(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Vertex order (0-based) realising the lexicographically least key.
 
-    The key of an order p is the tuple (c_1, ..., c_{n-1}) where c_k encodes
-    the adjacency of p[k] to p[0..k-1], bit i for p[i].  Branch and bound
-    over partial orders; candidate columns are tried ascending so the first
-    completed leaf is already a good incumbent.
+    The key of an order p is the tuple (c_0, ..., c_{n-1}) where the column
+    c_k encodes the adjacency of p[k] to p[0..k-1], bit i for p[i].  A
+    depth-first search places one vertex per level and visits only part of
+    the tree, without changing which key is least:
+
+    - Given the placed prefix, every completion whose next column is the
+      least column among the free vertices beats every completion whose
+      next column is larger, so only the free vertices of least column are
+      expanded.
+    - Among those, one vertex per twin class is expanded.  Swapping two
+      free twins u and v is an automorphism of the graph that fixes every
+      placed vertex, so it maps the completions after u onto those after v
+      with the same keys: both subtrees reach the same set of keys.
+    - A prefix whose columns exceed the incumbent's is cut.
+
+    The columns of the free vertices are kept up to date as vertices are
+    placed, over a bitmask of the free vertices.
     """
     if n <= 1:
         return tuple(range(n))
-    hint = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    best_cols: list[int] | None = None
-    best_perm: list[int] = []
+    twins = _twin_masks(rows)
+    col = [0] * n
+    key: list[int] = []
+    order: list[int] = []
+    best_key: list[int] = []
+    best_order: list[int] = []
 
-    def dfs(placed: list[int], cols: list[int]) -> None:
-        nonlocal best_cols, best_perm
-        k = len(placed)
-        if k == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols[:]
-                best_perm = placed[:]
+    def dfs(free: int) -> None:
+        nonlocal best_key, best_order
+        if not free:
+            if not best_key or key < best_key:
+                best_key = key[:]
+                best_order = order[:]
             return
-        scored = []
-        for v in hint:
-            if v in placed:
-                continue
-            rv = rows[v]
-            b = 0
-            for idx, u in enumerate(placed):
-                b |= (rv >> u & 1) << idx
-            scored.append((b, v))
-        scored.sort()
-        for b, v in scored:
-            cols.append(b)
-            if best_cols is not None and cols > best_cols[:k + 1]:
-                cols.pop()
-                break  # ascending, so every later candidate is worse
-            placed.append(v)
-            dfs(placed, cols)
-            placed.pop()
-            cols.pop()
+        least = n
+        cand = 0
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = col[low.bit_length() - 1]
+            if cand == 0 or c < least:
+                least, cand = c, low
+            elif c == least:
+                cand |= low
+        k = len(key)
+        if best_key and least > best_key[k] and key == best_key[:k]:
+            return
+        key.append(least)
+        bit = 1 << k
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand &= ~(low | twins[v])
+            left = free ^ low
+            nbrs = rows[v] & left
+            m = nbrs
+            while m:
+                u = m & -m
+                m ^= u
+                col[u.bit_length() - 1] |= bit
+            order.append(v)
+            dfs(left)
+            order.pop()
+            m = nbrs
+            while m:
+                u = m & -m
+                m ^= u
+                col[u.bit_length() - 1] ^= bit
+        key.pop()
 
-    dfs([], [])
-    return tuple(best_perm)
+    dfs((1 << n) - 1)
+    return tuple(best_order)
 
 
 @lru_cache(maxsize=65536)
@@ -366,13 +430,22 @@ def canonical_form(g: Graph) -> Graph:
     return Graph(g.n, _canonical_rows(g.n, g.rows))
 
 
+def _packed(n: int, rows: Sequence[int]) -> tuple[int, int]:
+    # Bit j(j-1)/2 + i is the pair {i, j}, i < j: row j's bits below j, shifted.
+    key = 0
+    for j in range(1, n):
+        key |= (rows[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return (n, key)
+
+
+def packed_key(g: Graph) -> tuple[int, int]:
+    """(n, packed upper triangle of g under its own labels).
+
+    Equals ``canon_key(g)`` when g is canonical, without a second search.
+    """
+    return _packed(g.n, g.rows)
+
+
 def canon_key(g: Graph) -> tuple[int, int]:
     """(n, packed upper triangle of the canonical form), a total order."""
-    rows = _canonical_rows(g.n, g.rows)
-    key = 0
-    t = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            key |= (rows[j] >> i & 1) << t
-            t += 1
-    return (g.n, key)
+    return _packed(g.n, _canonical_rows(g.n, g.rows))

@@ -1,4 +1,6 @@
+import itertools
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import networkx
@@ -16,6 +18,8 @@ from edgebetti.atlas import (
 from edgebetti.betti import graph_betti_table, pd_reg, pd_reg_of_table
 from edgebetti.graph6 import graph6_encode
 from edgebetti.graphs import (
+    Graph,
+    _canonical_rows,
     breadth_first,
     canon_key,
     canonical_form,
@@ -33,6 +37,83 @@ def atlas_keys(n):
         for h in networkx.graph_atlas_g()
         if h.number_of_nodes() == n
     }
+
+
+def extension_inputs(reps, n):
+    """Rows of every one-vertex extension: each class on n - 1, all 2^(n-1) masks."""
+    for h in reps:
+        for mask in range(1 << (n - 1)):
+            rows = [r | 1 << (n - 1) if mask >> b & 1 else r for b, r in enumerate(h.rows)]
+            yield (*rows, mask)
+
+
+@lru_cache(maxsize=None)
+def unpruned_class_reps(n):
+    """Reference for ``_class_reps``: the extension loop with no twin pruning."""
+    if n == 1:
+        return (Graph(1, (0,)),)
+    seen = {}
+    for rows in extension_inputs(unpruned_class_reps(n - 1), n):
+        g = canonical_form(Graph(n, rows))
+        seen.setdefault(canon_key(g), g)
+    return tuple(g for _, g in sorted(seen.items()))
+
+
+def brute_force_canonical_rows(n, rows):
+    """Rows under an order whose column key is least over all n! orders.
+
+    Column k of an order p holds the adjacency of p[k] to p[0..k-1], bit i
+    for p[i]; the least key fixes the rows, whichever order reaches it.
+    """
+    best = min(
+        tuple(sum((rows[p[k]] >> p[i] & 1) << i for i in range(k)) for k in range(n))
+        for p in itertools.permutations(range(n))
+    )
+    out = [0] * n
+    for k, column in enumerate(best):
+        for i in range(k):
+            if column >> i & 1:
+                out[k] |= 1 << i
+                out[i] |= 1 << k
+    return tuple(out)
+
+
+class TestTwinPruning:
+    """The pruned search and extension loop against exhaustive references."""
+
+    def test_canonical_rows_are_the_least_key_over_all_orders(self):
+        inputs = [
+            (n, rows)
+            for n in range(2, 6)
+            for rows in extension_inputs(unpruned_class_reps(n - 1), n)
+        ]
+        inputs += [(6, rows) for rows in extension_inputs(unpruned_class_reps(5), 6)][::5]
+        assert len(inputs) == 218 + 218
+        for n, rows in inputs:
+            assert _canonical_rows(n, rows) == brute_force_canonical_rows(n, rows), rows
+
+    def test_pruned_extension_equals_every_mask(self):
+        for n in range(1, 7):
+            assert _class_reps(n) == unpruned_class_reps(n), n
+
+    def test_extension_calls_one_canonical_form_per_twin_orbit(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(atlas_module, "canonical_form", counted)
+        # a fresh cache, so that every level up to 6 is enumerated again
+        fresh = lru_cache(maxsize=None)(atlas_module._class_reps.__wrapped__)
+        monkeypatch.setattr(atlas_module, "_class_reps", fresh)
+        fresh(6)
+        assert len(calls) == 782  # 1,306 with every mask
+
+    def test_class_counts_at_seven(self):
+        reps = _class_reps(7)
+        assert len(reps) == 1044
+        assert sum(not g.has_isolated_vertex() for g in reps) == 888
 
 
 class TestEnumeration:

@@ -150,14 +150,22 @@ class TestVerifyAndAtlas:
         assert code == 0
         assert doc["results"]["passed"] is True
 
-    def test_atlas_n4_matches_golden(self, capsys, tmp_path):
-        out = tmp_path / "atlas4.json"
-        code = main(["atlas", "--n", "4", "--jobs", "1", "--out", str(out)])
+    @staticmethod
+    def assert_atlas_matches_golden(capsys, tmp_path, n):
+        out = tmp_path / f"atlas{n}.json"
+        code = main(["atlas", "--n", str(n), "--jobs", "1", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
         got = strip_timing(json.loads(out.read_text()))
-        want = strip_timing(json.loads((FIXTURES / "atlas_n4_report.json").read_text()))
+        want = strip_timing(json.loads((FIXTURES / f"atlas_n{n}_report.json").read_text()))
         assert got == want
+
+    def test_atlas_n4_matches_golden(self, capsys, tmp_path):
+        self.assert_atlas_matches_golden(capsys, tmp_path, 4)
+
+    def test_atlas_n5_matches_golden(self, capsys, tmp_path):
+        # nine witnesses, each the first class in canonical-key order with its pair
+        self.assert_atlas_matches_golden(capsys, tmp_path, 5)
 
     def test_atlas_report_roundtrips(self, capsys):
         code, doc = run(capsys, ["atlas", "--n", "3", "--jobs", "1"])

@@ -21,6 +21,7 @@ from edgebetti.graphs import (
     join,
     path,
     relabel,
+    twin_classes,
     vertex_connectivity,
 )
 
@@ -157,6 +158,26 @@ class TestCanonicalForm:
         perm = list(g.vertices)
         rnd.shuffle(perm)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+class TestTwinClasses:
+    def test_examples(self):
+        star = from_edges(4, [(1, 2), (1, 3), (1, 4)])
+        assert twin_classes(star) == ((1,), (2, 3, 4))
+        assert twin_classes(complete(4)) == ((1, 2, 3, 4),)
+        assert twin_classes(path(4)) == ((1,), (2,), (3,), (4,))
+        assert twin_classes(cycle(4)) == ((1, 3), (2, 4))
+
+    @given(small_graphs(min_n=1, max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_swapping_twins_is_an_automorphism(self, g):
+        classes = twin_classes(g)
+        assert sorted(v for block in classes for v in block) == list(g.vertices)
+        for block in classes:
+            for u, v in itertools.combinations(block, 2):
+                perm = list(g.vertices)
+                perm[u - 1], perm[v - 1] = v, u
+                assert relabel(g, perm) == g
 
 
 class TestBreadthFirst:
