@@ -10,6 +10,15 @@ are unions of generator supports can contribute: any other W has a vertex
 lying in no generator inside W, which is a cone point of D_W.  The union
 closure of the generator supports is therefore the whole iteration space.
 
+The closure is held as a bitset, one int over all 2**k masks of the k
+active slots, and its members are read off that int one at a time; no set
+or list of W is built.  As a set and then a sorted list, K_11's 466,031
+unions peaked at 41.7 MiB under tracemalloc, about 94 bytes per member; the
+bitset costs 2**k bits (128 KiB at the 20-slot cap) whatever the closure's
+size, and K_11's peaks at 0.7 MiB.  Adding a generator builds one
+clear-slot mask of that size per slot it uses.  The increasing order of the
+members is the order the memo below sees W in.
+
 Many W restrict to the same complex up to relabelling, so each call keeps a
 memo from a subideal key to the homology vector of D_W.  The key is sound:
 D_W is fixed by the generators inside W (its minimal nonfaces) and W; and
@@ -68,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph
 from .homology import homology_from_faces
@@ -137,11 +146,56 @@ def _compress(gens: tuple[int, ...]) -> tuple[list[int], int]:
     return [_squeeze(g, used) for g in gens], used.bit_count()
 
 
-def _union_closure(gens: list[int]) -> list[int]:
-    fam = {0}
+def _clear_mask(b: int, nbits: int) -> int:
+    """Bitset over the masks 0..nbits-1 (at least one byte's worth): bit m is
+    set iff slot b is clear in m."""
+    if b < 3:
+        pattern = (b"\x55", b"\x33", b"\x0f")[b]
+    else:
+        half = 1 << (b - 3)
+        pattern = b"\xff" * half + b"\x00" * half
+    return int.from_bytes(pattern * max(1, nbits // (len(pattern) << 3)), "little")
+
+
+# The set bit positions of every byte, low to high.
+_BIT_POSITIONS = tuple(
+    tuple(p for p in range(8) if byte >> p & 1) for byte in range(256)
+)
+
+
+def _union_closure(gens: list[int]) -> Iterator[int]:
+    """Every union of generators, the empty one included, once each, in
+    increasing order.
+
+    The family is one int over all 2**k masks, k the highest slot in use
+    plus one: bit m is set iff m is a union.  The bitset costs 2**k
+    bits whatever the family's size, a few temporaries of that size while a
+    generator is added, and one clear-slot mask built for each slot of each
+    generator and dropped after use (keeping all 20 at the cap would cost
+    2.5 MiB).  A sparse family on many slots therefore pays for the empty
+    masks: P_10's 512 unions of 2**18 masks take 2 to 3 ms, where a set
+    took 0.1 ms.
+    """
+    k = _union(gens).bit_length()
+    if k > MAX_ACTIVE_SLOTS:
+        raise ValueError(f"a union closure over {k} slots exceeds the budget")
+    nbits = 1 << k
+    fam = 1  # the empty union
     for g in gens:
-        fam |= {w | g for w in fam}
-    return sorted(fam)
+        img = fam
+        rest = g
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lacking = img & _clear_mask(low.bit_length() - 1, nbits)
+            # Members lacking the slot move up to m | low; the others stay.
+            img = lacking << low | (img ^ lacking)
+        fam |= img
+    for i, byte in enumerate(fam.to_bytes((nbits + 7) >> 3, "little")):
+        if byte:
+            base = i << 3
+            for p in _BIT_POSITIONS[byte]:
+                yield base | p
 
 
 def _subideal_key(w: int, gens: list[int]) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +200,69 @@ class TestHilbertSeriesIdentity:
             ideal = random_squarefree_ideal(rng)
             table = betti_table_hochster(ideal)
             assert table_alternating_sum(table) == kpolynomial_numerator(ideal)
+
+
+def union_closure_by_sets(gens):
+    """Every union of generators, sorted, from a set; the bitset's reference."""
+    fam = {0}
+    for g in gens:
+        fam |= {w | g for w in fam}
+    return sorted(fam)
+
+
+@st.composite
+def generator_lists(draw):
+    """Generators whose union spans exactly k slots, k = 1..12, with
+    duplicate and nested generators drawn in on purpose."""
+    k = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=10))
+    gens.append(draw(st.integers(1 << (k - 1), (1 << k) - 1)))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)) | draw(st.sampled_from(gens)))
+    return draw(st.permutations(gens))
+
+
+def complete_eleven_generators():
+    """K_11's compressed generators: 55 on 20 slots, the largest at the cap."""
+    gens, k = betti._compress(initial_ideal(complete(11)).generators)
+    assert (len(gens), k) == (55, 20)
+    return gens
+
+
+class TestUnionClosure:
+    @given(generator_lists())
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example([0])
+    @example([0b1])
+    @example([0b10, 0b10])
+    @example([0b100, 0b011, 0b111])
+    @example([0b101, 0b011, 0b001])
+    def test_equals_set_loop(self, gens):
+        assert list(betti._union_closure(gens)) == union_closure_by_sets(gens)
+
+    def test_complete_eleven(self):
+        closure = list(betti._union_closure(complete_eleven_generators()))
+        assert len(closure) == 466031
+        assert (closure[0], closure[-1]) == (0, (1 << 20) - 1)
+
+    def test_complete_eleven_peak_memory(self):
+        """The family is a 2**20-bit int: no set or list of the 466,031 W."""
+        gens = complete_eleven_generators()
+        tracemalloc.start()
+        try:
+            for _ in betti._union_closure(gens):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_over_budget_refused_before_the_bitset(self):
+        with pytest.raises(ValueError, match="21 slots exceeds the budget"):
+            next(betti._union_closure([1 << 20]))
 
 
 def hochster_without_memo(ideal, field_tag):
