@@ -1,10 +1,11 @@
 """Betti-table sizes of binomial edge ideals, computed combinatorially.
 
 The public surface: graph construction and operations (graphs), the lex
-initial ideal (ideals), exact Betti tables via Hochster's formula with a
-Koszul-complex oracle (betti, homology, linalg), witness families and the
-realizer (families), theorem checkers (checks), exhaustive atlases
-(atlas), and graph6 / report / CLI plumbing.
+initial ideal (ideals), exact Betti tables via Hochster's formula (betti,
+homology, linalg), witness families and the realizer (families), theorem
+checkers (checks), exhaustive atlases (atlas), and graph6 / report / CLI
+plumbing.  A Koszul-complex oracle that the tests check the tables against
+lives in ``edgebetti.oracles`` and is not exported here.
 """
 
 from .betti import (
@@ -12,7 +13,6 @@ from .betti import (
     EdgelessGraphError,
     PdRegPair,
     betti_table_hochster,
-    betti_table_koszul,
     pd_reg,
 )
 from .families import (
@@ -35,7 +35,6 @@ __all__ = [
     "RealizeCert",
     "RealizeError",
     "betti_table_hochster",
-    "betti_table_koszul",
     "canonical_form",
     "from_edges",
     "graph6_decode",

@@ -1,7 +1,7 @@
-"""Graded Betti tables of S/I for squarefree monomial ideals I, two ways.
+"""Graded Betti tables of S/I for squarefree monomial ideals I.
 
-The workhorse is Hochster's formula: for a squarefree I with Stanley-Reisner
-complex D on the variable slots,
+The table comes from Hochster's formula: for a squarefree I with
+Stanley-Reisner complex D on the variable slots,
 
     beta_{i,W}(S/I) = dim_K H~_{|W|-i-1}(D_W; K)
 
@@ -57,13 +57,7 @@ rule fires (a residue) has its faces enumerated, over its own slots, and
 its homology computed from boundary ranks.  Every complex met on the way,
 residues and R2's links included, goes through the memo.
 
-An independent cross-check computes Tor_i(S/I, K)_j as homology of the
-Koszul complex on all variables tensored with S/I, one squarefree
-multidegree strand at a time, with no pruning.  The two tables must agree
-entry for entry; the acceptance tests enforce that on graph ideals and on
-random squarefree ideals.
-
-Both tables are for the quotient S/I.  The invariants of a graph's binomial
+The table is for the quotient S/I.  The invariants of a graph's binomial
 edge ideal J itself are derived at the boundary:
 
     proj dim(J) = proj dim(S/J) - 1,    reg(J) = reg(S/J) + 1,
@@ -82,7 +76,7 @@ from typing import Iterator, NamedTuple
 from .graphs import Graph
 from .homology import homology_from_faces
 from .ideals import MAX_ACTIVE_SLOTS, MonomialIdeal, initial_ideal, mark_supersets
-from .linalg import parse_field, rank_mod_p, rank_rational
+from .linalg import parse_field
 
 
 class EdgelessGraphError(ValueError):
@@ -300,63 +294,6 @@ def betti_table_hochster(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
                 key = (j - d - 1, j)
                 entries[key] = entries.get(key, 0) + h
     return BettiTable(ideal.num_vars, field, entries)
-
-
-def betti_table_koszul(ideal: MonomialIdeal, field: str = "q") -> BettiTable:
-    """Betti table of S/I from Koszul-complex strands; the oracle route.
-
-    Iterates every squarefree multidegree a: the strand in homological
-    degree i has basis {e_F tensor x^(a-F) : F subset a, |F| = i, x^(a-F)
-    not in I}; the differential multiplies one exterior slot back in and
-    kills terms landing in I.  No subset pruning: this route stays simple
-    and slow on purpose.
-    """
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no Betti table")
-    kind, p = parse_field(field)
-    m = ideal.num_vars
-    if m > 16:
-        raise ValueError("the Koszul route is an oracle for small rings only")
-    in_ideal = bytearray(1 << m)
-    for mask in range(1 << m):
-        if ideal.contains_monomial(mask):
-            in_ideal[mask] = 1
-    entries: dict[tuple[int, int], int] = {}
-    for a in range(1 << m):
-        na = a.bit_count()
-        basis: list[list[int]] = [[] for _ in range(na + 1)]
-        s = a
-        while True:
-            if not in_ideal[a ^ s]:
-                basis[s.bit_count()].append(s)
-            if s == 0:
-                break
-            s = (s - 1) & a
-        ranks = [0] * (na + 2)
-        for c in range(1, na + 1):
-            if not basis[c] or not basis[c - 1]:
-                continue
-            idx = {f: i for i, f in enumerate(basis[c - 1])}
-            rows = []
-            for f in basis[c]:
-                row = {}
-                sign = 1  # (-1)^k for the k-th slot of f, lowest first
-                t = f
-                while t:
-                    low = t & -t
-                    f2 = f ^ low
-                    if not in_ideal[a ^ f2]:
-                        row[idx[f2]] = sign
-                    sign = -sign
-                    t ^= low
-                rows.append(row)
-            ranks[c] = rank_rational(rows) if kind == "q" else rank_mod_p(rows, p)
-        for c in range(na + 1):
-            dim_tor = len(basis[c]) - ranks[c] - ranks[c + 1]
-            if dim_tor:
-                key = (c, na)
-                entries[key] = entries.get(key, 0) + dim_tor
-    return BettiTable(m, field, entries)
 
 
 # -- graph-level invariants ---------------------------------------------------

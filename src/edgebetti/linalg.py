@@ -1,20 +1,11 @@
-"""Exact matrix ranks over the rationals, GF(2) and GF(p).
+"""Exact matrix ranks over the rationals and every GF(p).
 
-Every matrix arrives as its rows, never dense.  One sparse eliminator,
-``_rank``, serves every signed matrix: over GF(p) for a prime p, and over
-Q when p = 0.  Its rows are dicts {column: integer value} holding only the
-nonzero entries, and ``rank_rational`` and ``rank_mod_p`` pass them
-straight through; the input rows are never modified.  GF(2) has its own
-kernel, ``rank_gf2``, on rows packed into Python ints (bit j = column j).
-
-Both kernels share one pivot contract: a caller that passes a list as
-``pivots`` gets the pivot columns appended to it, one per unit of rank.
-Each pivot row is a combination of the input rows that is nonzero in its
-own pivot column and zero in the pivot columns of the pivot rows before
-it: in elimination order for ``_rank``, which clears a pivot's column from
-every row left, and in column order for ``rank_gf2``, whose pivot rows are
-keyed by their lowest set bit.  So the pivot rows restricted to the pivot
-columns form a triangular matrix with nonzero diagonal.
+Every matrix arrives as its rows, never dense: dicts {column: integer
+value} holding only the nonzero entries.  One sparse eliminator, ``_rank``,
+serves every field: GF(p) for a prime p, p = 2 included, and Q when p = 0,
+where it works fraction-free.  ``rank_rational``, ``rank_gf2`` and
+``rank_mod_p`` are one-line entry points over it.  The input rows are never
+modified.
 """
 
 from __future__ import annotations
@@ -23,9 +14,7 @@ from math import gcd
 from typing import Sequence
 
 
-def _rank(
-    rows: Sequence[dict[int, int]], p: int, pivots: list[int] | None = None
-) -> int:
+def _rank(rows: Sequence[dict[int, int]], p: int) -> int:
     """Rank over GF(p), or over Q when p == 0, of sparse rows {column: value}.
 
     Each step pivots on the sparsest row holding a unit entry: any nonzero
@@ -55,8 +44,6 @@ def _rank(
             best = min(range(len(rows)), key=lambda i: len(rows[i]))
             col = next(iter(rows[best]))
         piv = rows.pop(best)
-        if pivots is not None:
-            pivots.append(col)
         a = piv[col]
         scale = not p and a != 1 and a != -1
         inv = pow(a, -1, p) if p else a  # a == +-1 is its own inverse
@@ -93,33 +80,14 @@ def rank_rational(rows: Sequence[dict[int, int]]) -> int:
     return _rank(rows, 0)
 
 
-def rank_mod_p(
-    rows: Sequence[dict[int, int]], p: int, pivots: list[int] | None = None
-) -> int:
+def rank_gf2(rows: Sequence[dict[int, int]]) -> int:
+    """Rank over GF(2) of integer sparse rows {column: value}."""
+    return _rank(rows, 2)
+
+
+def rank_mod_p(rows: Sequence[dict[int, int]], p: int) -> int:
     """Rank over GF(p), p prime, of integer sparse rows {column: value}."""
-    return _rank(rows, p, pivots)
-
-
-def rank_gf2(rows: Sequence[int], pivots: list[int] | None = None) -> int:
-    """Rank over GF(2) of rows packed as int bitmasks.
-
-    Each row is reduced by the earlier pivot rows until its lowest set bit
-    is new; it is then kept as the pivot row for that column.  The rank is
-    the number of pivots.
-    """
-    table: dict[int, int] = {}  # lowest set bit -> pivot row
-    for row in rows:
-        r = row
-        while r:
-            low = r & -r
-            if low in table:
-                r ^= table[low]
-            else:
-                table[low] = r
-                break
-    if pivots is not None:
-        pivots.extend([low.bit_length() - 1 for low in table])
-    return len(table)
+    return _rank(rows, p)
 
 
 def parse_field(field: str) -> tuple[str, int]:

@@ -12,11 +12,7 @@ from pathlib import Path
 import pytest
 
 from edgebetti.atlas import enumerate_graphs, probe_conjecture, verify_main_theorem
-from edgebetti.betti import (
-    betti_table_hochster,
-    betti_table_koszul,
-    pd_reg,
-)
+from edgebetti.betti import betti_table_hochster, pd_reg
 from edgebetti.checks import (
     check_cone_formula,
     check_disjoint_union_formulas,
@@ -40,6 +36,7 @@ from edgebetti.graphs import (
     vertex_connectivity,
 )
 from edgebetti.ideals import MonomialIdeal, initial_ideal
+from edgebetti.oracles import betti_table_koszul
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -11,7 +11,6 @@ from edgebetti.atlas import enumerate_graphs
 from edgebetti.betti import (
     EdgelessGraphError,
     betti_table_hochster,
-    betti_table_koszul,
     graph_betti_table,
     pd_reg,
 )
@@ -28,6 +27,7 @@ from edgebetti.graphs import (
 )
 from edgebetti.homology import homology_from_faces
 from edgebetti.ideals import MonomialIdeal, initial_ideal, mark_supersets
+from edgebetti.oracles import betti_table_koszul
 
 
 class TestHochsterGoldens:

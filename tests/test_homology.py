@@ -2,11 +2,11 @@ import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, ZZ
+from sympy import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from edgebetti.betti import _faces_within, _union_closure
-from edgebetti.homology import _cleared_ranks, homology_from_faces
+from edgebetti.homology import homology_from_faces
 from edgebetti.ideals import mark_supersets
 
 # Minimal 6-vertex triangulation of the real projective plane: 2-torsion in
@@ -107,7 +107,7 @@ def test_euler_characteristic_is_field_free(faces):
 
 
 def full_signed_boundary(faces, c):
-    """The whole signed boundary map from cardinality c, dense, none cleared."""
+    """The whole signed boundary map from cardinality c, dense."""
     idx = {f: i for i, f in enumerate(faces[c - 1])}
     mat = [[0] * len(faces[c]) for _ in faces[c - 1]]
     for col, f in enumerate(faces[c]):
@@ -117,14 +117,16 @@ def full_signed_boundary(faces, c):
     return mat
 
 
-def assert_cleared_ranks_exact(faces):
-    for p in (2, 3, 5):
-        ranks = _cleared_ranks(faces, p)
-        assert len(ranks) == len(faces) + 1
-        assert ranks[0] == ranks[-1] == 0
+def assert_homology_exact(faces):
+    """homology_from_faces against f_c - rank d_c - rank d_{c+1}, with
+    sympy's ranks of the full signed boundary matrices."""
+    for field, domain in (("q", QQ), ("f2", GF(2)), ("fp:3", GF(3)), ("fp:5", GF(5))):
+        ranks = [0] * (len(faces) + 1)
         for c in range(1, len(faces)):
             full = DomainMatrix.from_list(full_signed_boundary(faces, c), ZZ)
-            assert ranks[c] == full.convert_to(GF(p)).rank(), (p, c)
+            ranks[c] = full.convert_to(domain).rank()
+        want = [len(faces[c]) - ranks[c] - ranks[c + 1] for c in range(len(faces))]
+        assert homology_from_faces(faces, field) == want, field
 
 
 @st.composite
@@ -139,16 +141,16 @@ def complexes_up_to_seven(draw):
 @given(complexes_up_to_seven())
 @settings(max_examples=150, deadline=None)
 def test_cleared_gf2_ranks_match_full_matrices(faces):
-    assert_cleared_ranks_exact(faces)
+    assert_homology_exact(faces)
 
 
 def test_cleared_gf2_ranks_on_named_complexes():
     # RP^2 has H_1 = Z/2, so its GF(2) and GF(3) ranks differ
     sphere = [tuple(f) for f in itertools.combinations(range(1, 5), 3)]
     for ground, facets in ((6, RP2_FACETS), (4, sphere)):
-        assert_cleared_ranks_exact(cx_from_vertex_facets(ground, facets))
-    # a full 6-simplex: clearing spans every level down to the vertices
-    assert_cleared_ranks_exact(cx_from_vertex_facets(7, [tuple(range(1, 8))]))
+        assert_homology_exact(cx_from_vertex_facets(ground, facets))
+    # a full 6-simplex: 128 faces with the empty one, acyclic over every field
+    assert_homology_exact(cx_from_vertex_facets(7, [tuple(range(1, 8))]))
 
 
 @st.composite
